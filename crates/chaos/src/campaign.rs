@@ -92,7 +92,7 @@ impl ChaosReport {
                 kind.name(),
                 self.injected[i],
                 self.detected[i],
-                json_str(kind.expected_defense())
+                serde_json::escape_str(kind.expected_defense())
             ));
         }
         out.push_str("],\"checks\":[");
@@ -104,7 +104,7 @@ impl ChaosReport {
                 "{{\"name\":\"{}\",\"pass\":{},\"detail\":{}}}",
                 c.name,
                 c.pass,
-                json_str(&c.detail)
+                serde_json::escape_str(&c.detail)
             ));
         }
         out.push_str(&format!(
@@ -145,10 +145,6 @@ impl ChaosReport {
         out.push_str(if self.pass() { "PASS\n" } else { "FAIL\n" });
         out
     }
-}
-
-fn json_str(s: &str) -> String {
-    serde_json::Value::String(s.to_owned()).to_string()
 }
 
 fn kind_index(kind: FaultKind) -> usize {

@@ -52,7 +52,7 @@ use crate::compile::{compile, evaluate, CompiledDesign};
 use crate::governor::{ServiceGovernor, ServiceGovernorConfig, ServiceLevel};
 use crate::integrity::{open, seal, SEAL_PREFIX_LEN};
 use crate::key::CacheKey;
-use crate::spec::{parse_request, EvalSpec, Priority, Request};
+use crate::spec::{decimal, parse_request, EvalSpec, Priority, Request};
 
 /// Default result-tier capacity (full response bodies).
 pub const DEFAULT_RESULT_CAPACITY: usize = 1024;
@@ -139,7 +139,27 @@ pub struct Response {
 impl Response {
     /// The full single-line JSON document.
     pub fn render(&self) -> String {
-        format!("{{\"id\":{},{}}}", self.id, self.body)
+        let mut digits = [0; 20];
+        let id = decimal(self.id, &mut digits);
+        let mut line = String::with_capacity("{\"id\":,}".len() + id.len() + self.body.len());
+        line.push_str("{\"id\":");
+        line.push_str(id);
+        line.push(',');
+        line.push_str(&self.body);
+        line.push('}');
+        line
+    }
+
+    /// The answer to a request that could not be served: its error
+    /// text as a `"status":"error"` body.
+    fn error(id: u64, err: &str) -> Response {
+        Response {
+            id,
+            body: format!(
+                "\"status\":\"error\",\"error\":{}",
+                serde_json::escape_str(err)
+            ),
+        }
     }
 }
 
@@ -150,10 +170,6 @@ pub struct BatchOutput {
     pub responses: Vec<Response>,
     /// True if the batch contained a shutdown request.
     pub shutdown: bool,
-}
-
-fn json_str(s: &str) -> String {
-    serde_json::Value::String(s.to_owned()).to_string()
 }
 
 /// A pending cold evaluation: the spec plus every request id waiting on
@@ -234,6 +250,18 @@ impl Engine {
     /// Current service degradation level.
     pub fn service_level(&self) -> ServiceLevel {
         self.governor.level()
+    }
+
+    /// Answers a line the transport could not hand over as a request —
+    /// longer than [`crate::server::MAX_REQUEST_BYTES`], or not UTF-8 —
+    /// the way a malformed line is answered: counted as a request and
+    /// an error, under the next running id.
+    pub fn reject_line(&mut self, reason: &str) -> Response {
+        self.stats.bump(ServiceCounter::Requests);
+        self.stats.bump(ServiceCounter::Errors);
+        let id = self.seq;
+        self.seq += 1;
+        Response::error(id, reason)
     }
 
     /// Deadline cost model: the milliseconds `spec` is assumed to cost
@@ -320,10 +348,7 @@ impl Engine {
             match parse_request(line, default_id) {
                 Err(err) => {
                     self.stats.bump(ServiceCounter::Errors);
-                    responses.push(Response {
-                        id: default_id,
-                        body: format!("\"status\":\"error\",\"error\":{}", json_str(&err)),
-                    });
+                    responses.push(Response::error(default_id, &err));
                 }
                 Ok(Request::Stats { id }) => {
                     self.stats.bump(ServiceCounter::StatsRequests);
@@ -478,7 +503,7 @@ impl Engine {
                         "\"status\":\"quarantined\",\"key\":\"{}\",\"kind\":\"panic\",\
                          \"attempts\":1,\"detail\":{}",
                         key.hex(),
-                        json_str(&detail)
+                        serde_json::escape_str(&detail)
                     );
                     for id in p.ids {
                         responses.push(Response {
@@ -596,7 +621,7 @@ impl Engine {
                         "\"status\":\"quarantined\",\"key\":\"{}\",\"kind\":\"{kind}\",\
                          \"attempts\":{attempts},\"detail\":{}",
                         key.hex(),
-                        json_str(&detail)
+                        serde_json::escape_str(&detail)
                     );
                     for &id in &p.ids {
                         responses.push(Response {

@@ -7,7 +7,8 @@
 //!
 //! ## Architecture
 //!
-//! * [`spec`] — request parsing with strict unknown-field rejection,
+//! * [`spec`] — request parsing (a borrowed pull reader, no JSON tree)
+//!   with strict unknown-field rejection,
 //!   and the *canonical* spec form whose injectivity makes content
 //!   addressing sound (field order, whitespace and numeric spellings
 //!   all collapse; distinct values never do).
@@ -34,7 +35,9 @@
 //!   shed-low → cache-only → reject) driven by per-batch cold demand
 //!   with hysteresis, mirroring `timber-resilience`'s `LadderGovernor`
 //!   one layer up.
-//! * [`server`] — the stdin and Unix-socket transports.
+//! * [`server`] — the stdin and Unix-socket transports, which read
+//!   bounded byte lines and answer an over-long or non-UTF-8 line with
+//!   a per-line error.
 //! * [`storm`] — the deterministic load generator and its replay gate
 //!   (`repro storm`), which doubles as the chaos client (seeded
 //!   priorities, deadlines and jittered retries).
@@ -72,3 +75,5 @@ pub use storm::{ClientChaos, StormReport, StormSpec};
 
 #[cfg(test)]
 mod props;
+#[cfg(test)]
+mod spec_diff;

@@ -24,7 +24,7 @@
 //! is the cache key; the request `id` is deliberately excluded so
 //! identical work from different requests shares one cache entry.
 
-use serde_json::Value;
+use serde_json::{Field, ObjectReader};
 use timber_resilience::StormScenario;
 use timber_schemes::SchemeId;
 
@@ -154,18 +154,7 @@ impl EvalSpec {
     /// order, every field explicit, the float by bit pattern. Two
     /// specs canonicalize equal iff they are field-for-field equal.
     pub fn canonical(&self) -> String {
-        format!(
-            "timber-serve/v1;design={};scheme={};storm={};pct_bits={:016x};k_tb={};k_ed={};trials={};cycles={};seed={}",
-            self.design.name(),
-            self.scheme.name(),
-            self.storm_name(),
-            self.checking_pct.to_bits(),
-            self.k_tb,
-            self.k_ed,
-            self.trials,
-            self.cycles,
-            self.seed,
-        )
+        self.canonical_form().as_str().to_owned()
     }
 
     /// Canonical form of the *design tier*: the subset of fields the
@@ -173,24 +162,118 @@ impl EvalSpec {
     /// plan) depends on. Requests differing only in scheme, storm,
     /// trial budget or seed share one compiled design.
     pub fn design_canonical(&self) -> String {
-        format!(
-            "timber-serve-design/v1;design={};pct_bits={:016x};k_tb={};k_ed={}",
-            self.design.name(),
-            self.checking_pct.to_bits(),
-            self.k_tb,
-            self.k_ed,
-        )
+        self.design_form().as_str().to_owned()
     }
 
     /// Content-addressed result-cache key.
     pub fn key(&self) -> CacheKey {
-        content_hash(self.canonical().as_bytes())
+        content_hash(self.canonical_form().as_bytes())
     }
 
     /// Content-addressed design-cache key.
     pub fn design_key(&self) -> CacheKey {
-        content_hash(self.design_canonical().as_bytes())
+        content_hash(self.design_form().as_bytes())
     }
+
+    /// The one writer of [`EvalSpec::canonical`]'s format.
+    fn canonical_form(&self) -> Canonical {
+        let mut w = Canonical::new();
+        w.push("timber-serve/v1;design=")
+            .push(self.design.name())
+            .push(";scheme=")
+            .push(self.scheme.name())
+            .push(";storm=")
+            .push(self.storm_name())
+            .push(";pct_bits=")
+            .push_hex(self.checking_pct.to_bits())
+            .push(";k_tb=")
+            .push_decimal(u64::from(self.k_tb))
+            .push(";k_ed=")
+            .push_decimal(u64::from(self.k_ed))
+            .push(";trials=")
+            .push_decimal(self.trials as u64)
+            .push(";cycles=")
+            .push_decimal(self.cycles)
+            .push(";seed=")
+            .push_decimal(self.seed);
+        w
+    }
+
+    /// The one writer of [`EvalSpec::design_canonical`]'s format.
+    fn design_form(&self) -> Canonical {
+        let mut w = Canonical::new();
+        w.push("timber-serve-design/v1;design=")
+            .push(self.design.name())
+            .push(";pct_bits=")
+            .push_hex(self.checking_pct.to_bits())
+            .push(";k_tb=")
+            .push_decimal(u64::from(self.k_tb))
+            .push(";k_ed=")
+            .push_decimal(u64::from(self.k_ed));
+        w
+    }
+}
+
+/// Room for the longest canonical form any spec can produce: every
+/// name at its longest and every integer at its widest come to 207
+/// bytes (pinned by a test).
+const CANONICAL_CAPACITY: usize = 256;
+
+/// A canonical form written into a fixed stack buffer, so a cache key
+/// costs no heap allocation.
+struct Canonical {
+    buf: [u8; CANONICAL_CAPACITY],
+    len: usize,
+}
+
+impl Canonical {
+    fn new() -> Canonical {
+        Canonical {
+            buf: [0; CANONICAL_CAPACITY],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, s: &str) -> &mut Canonical {
+        self.buf[self.len..self.len + s.len()].copy_from_slice(s.as_bytes());
+        self.len += s.len();
+        self
+    }
+
+    fn push_decimal(&mut self, v: u64) -> &mut Canonical {
+        self.push(decimal(v, &mut [0; 20]))
+    }
+
+    /// `v` as 16 zero-padded lowercase hex digits.
+    fn push_hex(&mut self, v: u64) -> &mut Canonical {
+        for (i, b) in self.buf[self.len..self.len + 16].iter_mut().enumerate() {
+            *b = b"0123456789abcdef"[((v >> (60 - 4 * i)) & 0xf) as usize];
+        }
+        self.len += 16;
+        self
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(self.as_bytes()).expect("canonical forms are ASCII")
+    }
+}
+
+/// `v` in decimal, written right-aligned into `buf`.
+pub(crate) fn decimal(mut v: u64, buf: &mut [u8; 20]) -> &str {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII")
 }
 
 /// Client-declared importance of an eval request. Only consulted when
@@ -254,60 +337,102 @@ impl Request {
     }
 }
 
-fn field_u64(value: &Value, name: &str) -> Result<u64, String> {
-    value
-        .as_u64()
-        .ok_or_else(|| format!("field {name:?} must be a non-negative integer"))
+/// The fields a request may carry. A field's discriminant is its bit
+/// in [`Staged::seen`], the duplicate-field mask.
+#[derive(Debug, Clone, Copy)]
+enum Known {
+    Op,
+    Id,
+    Design,
+    Scheme,
+    Storm,
+    CheckingPct,
+    KTb,
+    KEd,
+    Trials,
+    Cycles,
+    Seed,
+    Priority,
+    DeadlineMs,
 }
 
-fn field_f64(value: &Value, name: &str) -> Result<f64, String> {
-    value
-        .as_f64()
-        .ok_or_else(|| format!("field {name:?} must be a number"))
+impl Known {
+    fn from_name(name: &str) -> Option<Known> {
+        Some(match name {
+            "op" => Known::Op,
+            "id" => Known::Id,
+            "design" => Known::Design,
+            "scheme" => Known::Scheme,
+            "storm" => Known::Storm,
+            "checking_pct" => Known::CheckingPct,
+            "k_tb" => Known::KTb,
+            "k_ed" => Known::KEd,
+            "trials" => Known::Trials,
+            "cycles" => Known::Cycles,
+            "seed" => Known::Seed,
+            "priority" => Known::Priority,
+            "deadline_ms" => Known::DeadlineMs,
+            _ => return None,
+        })
+    }
 }
 
-fn field_str<'v>(value: &'v Value, name: &str) -> Result<&'v str, String> {
-    value
-        .as_str()
-        .ok_or_else(|| format!("field {name:?} must be a string"))
+fn field_u64(value: &Field<'_>, name: &str) -> Result<u64, String> {
+    match value {
+        Field::Number(n) => n.as_u64(),
+        _ => None,
+    }
+    .ok_or_else(|| format!("field {name:?} must be a non-negative integer"))
 }
 
-/// Parses one request line. `default_id` is assigned when the line
-/// carries no `id` field (the engine hands out its running sequence
-/// number). Errors are deterministic single-line descriptions.
-pub fn parse_request(line: &str, default_id: u64) -> Result<Request, String> {
-    let doc = serde_json::from_str(line).map_err(|e| format!("malformed JSON: {e}"))?;
-    let fields = match doc {
-        Value::Object(fields) => fields,
-        _ => return Err("request must be a JSON object".to_owned()),
-    };
+fn field_f64(value: &Field<'_>, name: &str) -> Result<f64, String> {
+    match value {
+        Field::Number(n) => Ok(n.as_f64()),
+        _ => Err(format!("field {name:?} must be a number")),
+    }
+}
 
-    let mut seen: Vec<&str> = Vec::new();
-    let mut op = "eval";
-    let mut id: Option<u64> = None;
-    let mut design: Option<DesignId> = None;
-    let mut spec_touched = false;
-    let mut priority = Priority::High;
-    let mut deadline_ms: Option<u64> = None;
-    let mut service_touched = false;
-    // Staged overrides, applied once the design (and thus the default
-    // spec) is known.
-    let mut scheme: Option<SchemeId> = None;
-    let mut storm: Option<Option<StormScenario>> = None;
-    let mut checking_pct: Option<f64> = None;
-    let mut k_tb: Option<u8> = None;
-    let mut k_ed: Option<u8> = None;
-    let mut trials: Option<usize> = None;
-    let mut cycles: Option<u64> = None;
-    let mut seed: Option<u64> = None;
+fn field_str<'v>(value: &'v Field<'_>, name: &str) -> Result<&'v str, String> {
+    match value {
+        Field::Str(s) => Ok(s),
+        _ => Err(format!("field {name:?} must be a string")),
+    }
+}
 
-    for (name, value) in &fields {
-        if seen.contains(&name.as_str()) {
+/// A request's fields as read so far, before the design (and thus the
+/// default spec) is known.
+#[derive(Default)]
+struct Staged {
+    /// One bit per [`Known`] field already read.
+    seen: u16,
+    op: Option<&'static str>,
+    id: Option<u64>,
+    design: Option<DesignId>,
+    spec_touched: bool,
+    priority: Priority,
+    deadline_ms: Option<u64>,
+    service_touched: bool,
+    scheme: Option<SchemeId>,
+    storm: Option<Option<StormScenario>>,
+    checking_pct: Option<f64>,
+    k_tb: Option<u8>,
+    k_ed: Option<u8>,
+    trials: Option<usize>,
+    cycles: Option<u64>,
+    seed: Option<u64>,
+}
+
+impl Staged {
+    /// Validates and stages one field.
+    fn apply(&mut self, name: &str, value: &Field<'_>) -> Result<(), String> {
+        let known = Known::from_name(name).ok_or_else(|| format!("unknown field {name:?}"))?;
+        let bit = 1u16 << known as u16;
+        if self.seen & bit != 0 {
             return Err(format!("duplicate field {name:?}"));
         }
-        match name.as_str() {
-            "op" => {
-                op = match field_str(value, "op")? {
+        match known {
+            Known::Op => {
+                self.op = Some(match field_str(value, "op")? {
                     "eval" => "eval",
                     "stats" => "stats",
                     "shutdown" => "shutdown",
@@ -316,31 +441,31 @@ pub fn parse_request(line: &str, default_id: u64) -> Result<Request, String> {
                             "unknown op {other:?} (expected eval, stats or shutdown)"
                         ))
                     }
-                };
+                });
             }
-            "id" => id = Some(field_u64(value, "id")?),
-            "design" => {
+            Known::Id => self.id = Some(field_u64(value, "id")?),
+            Known::Design => {
                 let text = field_str(value, "design")?;
-                design = Some(DesignId::from_name(text).ok_or_else(|| {
+                self.design = Some(DesignId::from_name(text).ok_or_else(|| {
                     format!(
                         "unknown design {text:?} (expected one of: {})",
                         DesignId::ALL.map(|d| d.name()).join(", ")
                     )
                 })?);
             }
-            "scheme" => {
+            Known::Scheme => {
                 let text = field_str(value, "scheme")?;
-                scheme = Some(SchemeId::from_name(text).ok_or_else(|| {
+                self.scheme = Some(SchemeId::from_name(text).ok_or_else(|| {
                     format!(
                         "unknown scheme {text:?} (expected one of: {})",
                         SchemeId::ALL.map(|s| s.name()).join(", ")
                     )
                 })?);
-                spec_touched = true;
+                self.spec_touched = true;
             }
-            "storm" => {
+            Known::Storm => {
                 let text = field_str(value, "storm")?;
-                storm = Some(if text == "none" {
+                self.storm = Some(if text == "none" {
                     None
                 } else {
                     Some(StormScenario::parse(text).ok_or_else(|| {
@@ -350,122 +475,134 @@ pub fn parse_request(line: &str, default_id: u64) -> Result<Request, String> {
                         )
                     })?)
                 });
-                spec_touched = true;
+                self.spec_touched = true;
             }
-            "checking_pct" => {
+            Known::CheckingPct => {
                 let pct = field_f64(value, "checking_pct")?;
                 if !pct.is_finite() || pct <= 0.0 || pct > 50.0 {
                     return Err(format!("checking_pct {pct} out of range (0, 50]"));
                 }
-                checking_pct = Some(pct);
-                spec_touched = true;
+                self.checking_pct = Some(pct);
+                self.spec_touched = true;
             }
-            "k_tb" => {
+            Known::KTb => {
                 let k = field_u64(value, "k_tb")?;
                 if k > 8 {
                     return Err(format!("k_tb {k} out of range 0..=8"));
                 }
-                k_tb = Some(k as u8);
-                spec_touched = true;
+                self.k_tb = Some(k as u8);
+                self.spec_touched = true;
             }
-            "k_ed" => {
+            Known::KEd => {
                 let k = field_u64(value, "k_ed")?;
                 if !(1..=8).contains(&k) {
                     return Err(format!("k_ed {k} out of range 1..=8"));
                 }
-                k_ed = Some(k as u8);
-                spec_touched = true;
+                self.k_ed = Some(k as u8);
+                self.spec_touched = true;
             }
-            "trials" => {
+            Known::Trials => {
                 let t = field_u64(value, "trials")? as usize;
                 if !(1..=MAX_TRIALS).contains(&t) {
                     return Err(format!("trials {t} out of range 1..={MAX_TRIALS}"));
                 }
-                trials = Some(t);
-                spec_touched = true;
+                self.trials = Some(t);
+                self.spec_touched = true;
             }
-            "cycles" => {
+            Known::Cycles => {
                 let c = field_u64(value, "cycles")?;
                 if !(1..=MAX_CYCLES).contains(&c) {
                     return Err(format!("cycles {c} out of range 1..={MAX_CYCLES}"));
                 }
-                cycles = Some(c);
-                spec_touched = true;
+                self.cycles = Some(c);
+                self.spec_touched = true;
             }
-            "seed" => {
-                seed = Some(field_u64(value, "seed")?);
-                spec_touched = true;
+            Known::Seed => {
+                self.seed = Some(field_u64(value, "seed")?);
+                self.spec_touched = true;
             }
-            "priority" => {
-                priority = match field_str(value, "priority")? {
+            Known::Priority => {
+                self.priority = match field_str(value, "priority")? {
                     "high" => Priority::High,
                     "low" => Priority::Low,
                     other => {
                         return Err(format!("unknown priority {other:?} (expected high or low)"))
                     }
                 };
-                service_touched = true;
+                self.service_touched = true;
             }
-            "deadline_ms" => {
+            Known::DeadlineMs => {
                 let d = field_u64(value, "deadline_ms")?;
                 if d == 0 {
                     return Err("deadline_ms must be at least 1".to_owned());
                 }
-                deadline_ms = Some(d);
-                service_touched = true;
+                self.deadline_ms = Some(d);
+                self.service_touched = true;
             }
-            other => return Err(format!("unknown field {other:?}")),
         }
-        seen.push(name.as_str());
+        self.seen |= bit;
+        Ok(())
     }
 
-    let id = id.unwrap_or(default_id);
-    match op {
-        "stats" | "shutdown" => {
-            if design.is_some() || spec_touched || service_touched {
-                return Err(format!("op {op:?} takes no spec fields"));
+    /// The request the staged fields describe.
+    fn finish(self, default_id: u64) -> Result<Request, String> {
+        let id = self.id.unwrap_or(default_id);
+        match self.op.unwrap_or("eval") {
+            op @ ("stats" | "shutdown") => {
+                if self.design.is_some() || self.spec_touched || self.service_touched {
+                    return Err(format!("op {op:?} takes no spec fields"));
+                }
+                Ok(if op == "stats" {
+                    Request::Stats { id }
+                } else {
+                    Request::Shutdown { id }
+                })
             }
-            Ok(if op == "stats" {
-                Request::Stats { id }
-            } else {
-                Request::Shutdown { id }
-            })
-        }
-        _ => {
-            let design = design.ok_or("eval request needs a \"design\" field")?;
-            let mut spec = EvalSpec::defaults(design);
-            if let Some(v) = scheme {
-                spec.scheme = v;
+            _ => {
+                let design = self.design.ok_or("eval request needs a \"design\" field")?;
+                let defaults = EvalSpec::defaults(design);
+                Ok(Request::Eval {
+                    id,
+                    spec: EvalSpec {
+                        design,
+                        scheme: self.scheme.unwrap_or(defaults.scheme),
+                        storm: self.storm.unwrap_or(defaults.storm),
+                        checking_pct: self.checking_pct.unwrap_or(defaults.checking_pct),
+                        k_tb: self.k_tb.unwrap_or(defaults.k_tb),
+                        k_ed: self.k_ed.unwrap_or(defaults.k_ed),
+                        trials: self.trials.unwrap_or(defaults.trials),
+                        cycles: self.cycles.unwrap_or(defaults.cycles),
+                        seed: self.seed.unwrap_or(defaults.seed),
+                    },
+                    priority: self.priority,
+                    deadline_ms: self.deadline_ms,
+                })
             }
-            if let Some(v) = storm {
-                spec.storm = v;
-            }
-            if let Some(v) = checking_pct {
-                spec.checking_pct = v;
-            }
-            if let Some(v) = k_tb {
-                spec.k_tb = v;
-            }
-            if let Some(v) = k_ed {
-                spec.k_ed = v;
-            }
-            if let Some(v) = trials {
-                spec.trials = v;
-            }
-            if let Some(v) = cycles {
-                spec.cycles = v;
-            }
-            if let Some(v) = seed {
-                spec.seed = v;
-            }
-            Ok(Request::Eval {
-                id,
-                spec,
-                priority,
-                deadline_ms,
-            })
         }
     }
+}
+
+/// Parses one request line. `default_id` is assigned when the line
+/// carries no `id` field (the engine hands out its running sequence
+/// number). Errors are deterministic single-line descriptions.
+///
+/// The line is read member by member, without building a JSON tree.
+/// Errors rank as if the whole line were parsed first: a syntax error
+/// anywhere in the line outranks a field error, and among field errors
+/// the first field in line order wins.
+pub fn parse_request(line: &str, default_id: u64) -> Result<Request, String> {
+    let malformed = |e: serde_json::Error| format!("malformed JSON: {e}");
+    let mut reader = ObjectReader::new(line)
+        .map_err(malformed)?
+        .ok_or("request must be a JSON object")?;
+    let mut staged = Staged::default();
+    while let Some((name, value)) = reader.next_field().map_err(malformed)? {
+        if let Err(err) = staged.apply(&name, &value) {
+            reader.finish().map_err(malformed)?;
+            return Err(err);
+        }
+    }
+    staged.finish(default_id)
 }
 
 #[cfg(test)]
@@ -634,5 +771,118 @@ mod tests {
         assert_ne!(a.key(), b.key());
         a.k_tb = 2;
         assert_ne!(a.design_key(), b.design_key());
+    }
+
+    /// Cache keys are persisted in journals, so these digests must
+    /// never move: a changed key strands every journalled result.
+    #[test]
+    fn golden_keys_are_stable() {
+        let spec = |design: DesignId| EvalSpec::defaults(design);
+        let cases: [(EvalSpec, &str, &str); 8] = [
+            (
+                spec(DesignId::Rca16),
+                "cf89abdba66e16de6953d0534d5b7314d39045dd74daf15d684aaa90e6119e96",
+                "a89a8fe8bc367a14c6d59c26e75be4893471907df30e6c104b560c6a7c0dafec",
+            ),
+            (
+                EvalSpec {
+                    scheme: SchemeId::RazorFf,
+                    ..spec(DesignId::Ks16)
+                },
+                "ee0ce0b6d2f976efcdb2cdd2c64e719cb0aa5a8699dcd9d28c06a055f10523ea",
+                "8e2df54a1c9e5c9dffdf581d14470567c909b541cd9b8adbae4bddb0c859123a",
+            ),
+            (
+                EvalSpec {
+                    storm: Some(StormScenario::DroopTrain),
+                    scheme: SchemeId::TransitionDetectorFf,
+                    ..spec(DesignId::Mul8)
+                },
+                "ff5335f4a61ff53c41ea9f9a28ae1f1ccdc1c58e300c46866e323726d205573d",
+                "f9781271dee8dc7544a08a816d1f1b913dbb62cb703f91a246258a45558f20b0",
+            ),
+            (
+                EvalSpec {
+                    checking_pct: 37.5,
+                    k_tb: 3,
+                    k_ed: 4,
+                    ..spec(DesignId::Alu8)
+                },
+                "5702afee2404e0aa05acbc83f41196791f661e67c8253240f034e4b4b7a56807",
+                "9fb165585d40fef230220d7aae5e92e391cb86a811f64fac6a168ca37985c136",
+            ),
+            (
+                EvalSpec {
+                    seed: u64::MAX,
+                    trials: MAX_TRIALS,
+                    cycles: MAX_CYCLES,
+                    ..spec(DesignId::RandomDag)
+                },
+                "89c2862ed676905a9995c13f36deaa595bac9af617a92b7a0193db6f7cc4674f",
+                "f830e57063e07b981b724b2ff57ad2daac38d984ef87958d514923396edfa4f1",
+            ),
+            (
+                EvalSpec {
+                    storm: Some(StormScenario::FlagSpikes),
+                    scheme: SchemeId::TimberLatch,
+                    checking_pct: 0.1,
+                    k_tb: 0,
+                    seed: 0,
+                    ..spec(DesignId::Datapath)
+                },
+                "dba05d8191273f07dc28f87b988060fad79a99e579dbb3e1d4885382f5a4a460",
+                "64f25de25811297cb24a529cd07411ad5cc5f183f31e4bc30d4a6199afa2bfe0",
+            ),
+            (
+                EvalSpec {
+                    storm: Some(StormScenario::AgingRamp),
+                    scheme: SchemeId::ConventionalFf,
+                    trials: 1,
+                    cycles: 1,
+                    ..spec(DesignId::Proc)
+                },
+                "8d82a4cbe81eaecf9354bdc7625461642eb3b8f29539ce5d70c641942b9eae18",
+                "50096a986f78a35fd6fd7ace1dac82a72cd0c0162b1ab5e88b5a47b515848247",
+            ),
+            (
+                spec(DesignId::Poison),
+                "621f823d426e180ad04fcd9140597dc1992a1541eddff1ed1f94414ceeadece5",
+                "e0592fa4eeb51dbbe21e18d2bcc0814760c512b757d63cdad476a12515c8c904",
+            ),
+        ];
+        for (spec, key, design_key) in cases {
+            assert_eq!(spec.key().hex(), key, "{}", spec.canonical());
+            assert_eq!(
+                spec.design_key().hex(),
+                design_key,
+                "{}",
+                spec.design_canonical()
+            );
+        }
+    }
+
+    #[test]
+    fn widest_canonical_form_fits_the_writer() {
+        let mut widest = 0;
+        for design in DesignId::ALL {
+            for scheme in SchemeId::ALL {
+                for storm in StormScenario::ALL {
+                    let spec = EvalSpec {
+                        design,
+                        scheme,
+                        storm: Some(storm),
+                        checking_pct: f64::MAX,
+                        k_tb: u8::MAX,
+                        k_ed: u8::MAX,
+                        trials: usize::MAX,
+                        cycles: u64::MAX,
+                        seed: u64::MAX,
+                    };
+                    widest = widest.max(spec.canonical().len());
+                }
+            }
+        }
+        assert_eq!(widest, 207);
+        assert!(widest <= CANONICAL_CAPACITY);
     }
 }
