@@ -4,7 +4,7 @@
 //! repro [table1|fig1|fig2|fig5|fig7|fig8|claims|compare|margin|\
 //!        ablation-schedule|ablation-droop|metastability|validate|\
 //!        bench|all] [--json] [--threads N]
-//! repro bench [--json] [--out BENCH.json] [--batch {on,off,auto}]
+//! repro bench [--json] [--threads N] [--out BENCH.json] [--batch {on,off}]
 //! repro trace <claims|claims-netlist> [--telemetry OUT.json] [--threads N]
 //! repro bench-check --fresh FRESH.json [--baseline BASE.json]
 //!                   [--tolerance 0.15] [--max-overhead 0.5]
@@ -16,7 +16,7 @@
 //!            [--inject-panic K] [--inject-hang K]
 //!            [--retry-base MS] [--retry-cap MS] [--watchdog MS]
 //! repro serve [--socket PATH] [--checkpoint FILE] [--resume]
-//!             [--batch-size N] [--capacity N] [--threads N]
+//!             [--batch-size N] [--capacity N] [--threads N] [--seed S]
 //!             [--retry-base MS] [--retry-cap MS] [--watchdog MS]
 //! repro storm [--clients N] [--requests M] [--seed S] [--poison K]
 //!             [--batch-size N] [--capacity N] [--threads N]
@@ -34,8 +34,8 @@
 //! any number, only wall-clock time. `bench` times the sweep engine
 //! and writes the baseline to `--out` (default `BENCH_pipeline.json`;
 //! CI writes to a scratch path so the committed baseline is never
-//! clobbered); `--batch {on,off,auto}` controls the bit-sliced 64-lane
-//! batching measurement (default `auto`; `off` records
+//! clobbered); `--batch {on,off}` controls the bit-sliced 64-lane
+//! batching measurement (default `on`; `off` records
 //! `batched: null`). `bench-check` gates a fresh measurement: the
 //! within-run hardware-independent checks (thread-count invariance,
 //! telemetry overhead ratio vs `--max-overhead`, the multi-core
@@ -97,7 +97,8 @@
 //! `--retry-base MS` / `--retry-cap MS` set the deterministic
 //! seeded-jitter backoff between evaluation attempts wherever the
 //! hardened executor runs (`soak`, `serve`, `storm`), and
-//! `--watchdog MS` the per-attempt wall-clock watchdog.
+//! `--watchdog MS` the per-attempt wall-clock watchdog; `--seed S`
+//! seeds that backoff's jitter in `serve`.
 //!
 //! `chaos` runs the deterministic fault-injection campaign against an
 //! in-process server: a seeded `FaultPlan` (splitmix64 counter-mode)
@@ -133,454 +134,251 @@
 //! Exit codes: `0` success, `1` a gate failed (bench-check breach,
 //! lint findings at the deny threshold, a conformance or storm
 //! campaign that does not pass, or a tune run that fails validation or
-//! drifts from its golden frontier), `2` usage error.
+//! drifts from its golden frontier), `2` usage error. Each subcommand
+//! reads exactly the flags its usage line lists (`--f v` and `--f=v`
+//! alike, before or after the subcommand); a flag it does not read is a
+//! usage error naming the flag, as is an unknown one.
 
 use std::env;
+use std::str::FromStr;
+use std::time::Duration;
 
 use timber_bench::{
-    ablations, analyzegate, conform, experiments, lintgate, margin, perf, report, soak, trace, tune,
+    ablations, analyzegate, experiments, lintgate, margin, perf, report, soak, trace, tune,
 };
 
+/// One flag: its name without `--`, and `None` for a switch or the
+/// value hint of its "needs" error.
+type Flag = (&'static str, Option<&'static str>);
+
+/// Every flag `repro` knows. One row parses both `--flag value` and
+/// `--flag=value`.
+const FLAGS: &[Flag] = &[
+    ("json", None),
+    ("full", None),
+    ("sabotage", None),
+    ("resume", None),
+    ("threads", Some("a number")),
+    ("seed", Some("a number")),
+    ("out", Some("a path")),
+    ("batch", Some("`on` or `off`")),
+    ("telemetry", Some("a path")),
+    ("fresh", Some("a path")),
+    ("baseline", Some("a path")),
+    ("tolerance", Some("a fraction, e.g. 0.15")),
+    ("max-overhead", Some("a fraction, e.g. 0.5")),
+    ("deny", Some("`warn` or `error`")),
+    ("cycles", Some("a number")),
+    ("checkpoint", Some("a path")),
+    ("stop-after", Some("a number")),
+    ("inject-panic", Some("a count")),
+    ("inject-hang", Some("a count")),
+    ("retry-base", Some("milliseconds")),
+    ("retry-cap", Some("milliseconds")),
+    ("watchdog", Some("milliseconds")),
+    ("socket", Some("a path")),
+    ("batch-size", Some("a number")),
+    ("capacity", Some("a number")),
+    ("clients", Some("a number")),
+    ("requests", Some("a number")),
+    ("poison", Some("a count")),
+    ("chaos-seed", Some("a number")),
+    ("faults", Some("a count")),
+    ("budget", Some("a number")),
+    ("frontier-check", Some("a path")),
+];
+
+/// The paper experiments share one subcommand row because `all` runs
+/// every one of them.
+const EXPERIMENTS: &str = "all table1 fig1 fig2 fig5 fig7 fig8 claims claims-netlist margin \
+    validate ablation-schedule ablation-droop dag glitch metastability compare";
+
+/// One subcommand row: its space-separated names, how many positional
+/// arguments follow the name, the space-separated flags it reads (any
+/// other flag is a usage error), and its runner.
+type Subcommand = (&'static str, usize, &'static str, fn(&Args));
+
+/// Every subcommand, in the order the unknown-subcommand error lists
+/// them.
+#[rustfmt::skip]
+const SUBCOMMANDS: &[Subcommand] = &[
+    (EXPERIMENTS,   0, "json threads", run_experiments),
+    ("bench",       0, "json threads out batch", run_bench),
+    ("lint",        0, "json deny", run_lint),
+    ("analyze",     0, "json deny sabotage", run_analyze),
+    ("conform",     0, "json threads seed full sabotage", run_conform),
+    ("soak",        0, "json threads seed cycles checkpoint resume stop-after inject-panic \
+                        inject-hang retry-base retry-cap watchdog", run_soak),
+    ("serve",       0, "socket checkpoint resume batch-size capacity threads seed retry-base \
+                        retry-cap watchdog", run_serve),
+    ("storm",       0, "clients requests seed poison threads batch-size capacity chaos-seed \
+                        retry-base retry-cap json out", run_storm),
+    ("chaos",       0, "json seed faults threads sabotage out", run_chaos),
+    ("trace",       1, "threads telemetry", run_trace),
+    ("tune",        0, "json out seed threads budget tolerance sabotage frontier-check", run_tune),
+    ("bench-check", 0, "fresh baseline tolerance max-overhead", run_bench_check),
+];
+
+/// The pinned seed of the conform, serve, storm and chaos gates.
+const DEFAULT_SEED: u64 = 7;
+
+/// The parsed command line.
+#[derive(Default)]
+struct Args {
+    /// Positional arguments in order; the first names the subcommand.
+    positionals: Vec<String>,
+    /// Every flag given, in order, with its value (empty for a switch).
+    flags: Vec<(&'static Flag, String)>,
+}
+
+impl Args {
+    fn parse(mut raw: impl Iterator<Item = String>) -> Args {
+        let mut args = Args::default();
+        while let Some(arg) = raw.next() {
+            let Some(body) = arg.strip_prefix("--") else {
+                args.positionals.push(arg);
+                continue;
+            };
+            let (name, inline) = body
+                .split_once('=')
+                .map_or((body, None), |(n, v)| (n, Some(v)));
+            // A switch never takes `=value`: `--json=1` is no flag at all.
+            let flag = FLAGS
+                .iter()
+                .find(|(n, hint)| *n == name && (hint.is_some() || inline.is_none()))
+                .unwrap_or_else(|| die(&format!("unknown flag --{body}")));
+            let value = match (flag.1, inline) {
+                (None, _) => String::new(),
+                (Some(_), Some(value)) => value.to_owned(),
+                (Some(_), None) => raw
+                    .next()
+                    .unwrap_or_else(|| die(&format!("--{name} needs a value"))),
+            };
+            args.flags.push((flag, value));
+        }
+        args
+    }
+
+    /// The subcommand name; `all` when none is given.
+    fn subcommand(&self) -> &str {
+        self.positionals.first().map_or("all", String::as_str)
+    }
+
+    fn last(&self, name: &str) -> Option<&(&'static Flag, String)> {
+        self.flags.iter().rev().find(|((n, _), _)| *n == name)
+    }
+
+    /// Whether `--name` was given.
+    fn on(&self, name: &str) -> bool {
+        self.last(name).is_some()
+    }
+
+    /// The value of the last `--name` given.
+    fn text(&self, name: &str) -> Option<&str> {
+        self.last(name).map(|(_, value)| value.as_str())
+    }
+
+    /// The last `--name` parsed as `T`; a value that does not parse is a
+    /// usage error naming the flag's hint.
+    fn get<T: FromStr>(&self, name: &str) -> Option<T> {
+        let ((_, hint), value) = self.last(name)?;
+        let hint = hint.unwrap_or_default();
+        Some(
+            value
+                .parse()
+                .unwrap_or_else(|_| die(&format!("--{name} needs {hint}"))),
+        )
+    }
+}
+
 fn main() {
-    let raw: Vec<String> = env::args().skip(1).collect();
-    let mut json = false;
-    let mut threads: usize = 0;
-    let mut telemetry: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut fresh: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut tolerance: f64 = 0.15;
-    let mut max_overhead: f64 = 0.5;
-    let mut batch = perf::BatchMode::Auto;
-    let mut deny: Option<String> = None;
-    let mut seed: u64 = conform::DEFAULT_SEED;
-    let mut seed_set = false;
-    let mut tolerance_set = false;
-    let mut budget: usize = usize::MAX;
-    let mut frontier_check_path: Option<String> = None;
-    let mut full = false;
-    let mut sabotage = false;
-    let mut cycles: u64 = soak::DEFAULT_CYCLES;
-    let mut checkpoint: Option<String> = None;
-    let mut resume = false;
-    let mut stop_after: Option<usize> = None;
-    let mut inject_panic: usize = 0;
-    let mut inject_hang: usize = 0;
-    let mut socket: Option<String> = None;
-    let mut batch_size: usize = timber_serve::DEFAULT_BATCH_SIZE;
-    let mut capacity: usize = timber_serve::engine::DEFAULT_RESULT_CAPACITY;
-    let mut clients: usize = 4;
-    let mut requests: usize = 64;
-    let mut poison: usize = 0;
-    let mut chaos_seed: Option<u64> = None;
-    let mut retry_base_ms: u64 = 10;
-    let mut retry_cap_ms: u64 = 100;
-    let mut watchdog_ms: Option<u64> = None;
-    let mut faults: usize = timber_chaos::DEFAULT_FAULTS;
-    let mut positionals: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < raw.len() {
-        let arg = &raw[i];
-        let value_of = |name: &str, i: &mut usize| -> String {
-            *i += 1;
-            raw.get(*i)
-                .cloned()
-                .unwrap_or_else(|| die(&format!("{name} needs a value")))
-        };
-        if arg == "--json" {
-            json = true;
-        } else if arg == "--threads" {
-            threads = value_of("--threads", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--threads needs a number"));
-        } else if let Some(v) = arg.strip_prefix("--threads=") {
-            threads = v
-                .parse()
-                .unwrap_or_else(|_| die("--threads needs a number"));
-        } else if arg == "--telemetry" {
-            telemetry = Some(value_of("--telemetry", &mut i));
-        } else if let Some(v) = arg.strip_prefix("--telemetry=") {
-            telemetry = Some(v.to_owned());
-        } else if arg == "--baseline" {
-            baseline = Some(value_of("--baseline", &mut i));
-        } else if let Some(v) = arg.strip_prefix("--baseline=") {
-            baseline = Some(v.to_owned());
-        } else if arg == "--fresh" {
-            fresh = Some(value_of("--fresh", &mut i));
-        } else if let Some(v) = arg.strip_prefix("--fresh=") {
-            fresh = Some(v.to_owned());
-        } else if arg == "--out" {
-            out = Some(value_of("--out", &mut i));
-        } else if let Some(v) = arg.strip_prefix("--out=") {
-            out = Some(v.to_owned());
-        } else if arg == "--max-overhead" {
-            max_overhead = value_of("--max-overhead", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--max-overhead needs a fraction, e.g. 0.5"));
-        } else if let Some(v) = arg.strip_prefix("--max-overhead=") {
-            max_overhead = v
-                .parse()
-                .unwrap_or_else(|_| die("--max-overhead needs a fraction, e.g. 0.5"));
-        } else if arg == "--tolerance" {
-            tolerance = value_of("--tolerance", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--tolerance needs a fraction, e.g. 0.15"));
-            tolerance_set = true;
-        } else if let Some(v) = arg.strip_prefix("--tolerance=") {
-            tolerance = v
-                .parse()
-                .unwrap_or_else(|_| die("--tolerance needs a fraction, e.g. 0.15"));
-            tolerance_set = true;
-        } else if arg == "--budget" {
-            budget = value_of("--budget", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--budget needs a number"));
-        } else if let Some(v) = arg.strip_prefix("--budget=") {
-            budget = v.parse().unwrap_or_else(|_| die("--budget needs a number"));
-        } else if arg == "--frontier-check" {
-            frontier_check_path = Some(value_of("--frontier-check", &mut i));
-        } else if let Some(v) = arg.strip_prefix("--frontier-check=") {
-            frontier_check_path = Some(v.to_owned());
-        } else if arg == "--batch" {
-            batch = value_of("--batch", &mut i)
-                .parse()
-                .unwrap_or_else(|e| die(&format!("--batch {e}")));
-        } else if let Some(v) = arg.strip_prefix("--batch=") {
-            batch = v.parse().unwrap_or_else(|e| die(&format!("--batch {e}")));
-        } else if arg == "--deny" {
-            deny = Some(value_of("--deny", &mut i));
-        } else if let Some(v) = arg.strip_prefix("--deny=") {
-            deny = Some(v.to_owned());
-        } else if arg == "--seed" {
-            seed = value_of("--seed", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--seed needs a number"));
-            seed_set = true;
-        } else if let Some(v) = arg.strip_prefix("--seed=") {
-            seed = v.parse().unwrap_or_else(|_| die("--seed needs a number"));
-            seed_set = true;
-        } else if arg == "--full" {
-            full = true;
-        } else if arg == "--sabotage" {
-            sabotage = true;
-        } else if arg == "--cycles" {
-            cycles = value_of("--cycles", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--cycles needs a number"));
-        } else if let Some(v) = arg.strip_prefix("--cycles=") {
-            cycles = v.parse().unwrap_or_else(|_| die("--cycles needs a number"));
-        } else if arg == "--checkpoint" {
-            checkpoint = Some(value_of("--checkpoint", &mut i));
-        } else if let Some(v) = arg.strip_prefix("--checkpoint=") {
-            checkpoint = Some(v.to_owned());
-        } else if arg == "--resume" {
-            resume = true;
-        } else if arg == "--stop-after" {
-            stop_after = Some(
-                value_of("--stop-after", &mut i)
-                    .parse()
-                    .unwrap_or_else(|_| die("--stop-after needs a number")),
-            );
-        } else if let Some(v) = arg.strip_prefix("--stop-after=") {
-            stop_after = Some(
-                v.parse()
-                    .unwrap_or_else(|_| die("--stop-after needs a number")),
-            );
-        } else if arg == "--inject-panic" {
-            inject_panic = value_of("--inject-panic", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--inject-panic needs a count"));
-        } else if let Some(v) = arg.strip_prefix("--inject-panic=") {
-            inject_panic = v
-                .parse()
-                .unwrap_or_else(|_| die("--inject-panic needs a count"));
-        } else if arg == "--inject-hang" {
-            inject_hang = value_of("--inject-hang", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--inject-hang needs a count"));
-        } else if let Some(v) = arg.strip_prefix("--inject-hang=") {
-            inject_hang = v
-                .parse()
-                .unwrap_or_else(|_| die("--inject-hang needs a count"));
-        } else if arg == "--socket" {
-            socket = Some(value_of("--socket", &mut i));
-        } else if let Some(v) = arg.strip_prefix("--socket=") {
-            socket = Some(v.to_owned());
-        } else if arg == "--batch-size" {
-            batch_size = value_of("--batch-size", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--batch-size needs a number"));
-        } else if let Some(v) = arg.strip_prefix("--batch-size=") {
-            batch_size = v
-                .parse()
-                .unwrap_or_else(|_| die("--batch-size needs a number"));
-        } else if arg == "--capacity" {
-            capacity = value_of("--capacity", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--capacity needs a number"));
-        } else if let Some(v) = arg.strip_prefix("--capacity=") {
-            capacity = v
-                .parse()
-                .unwrap_or_else(|_| die("--capacity needs a number"));
-        } else if arg == "--clients" {
-            clients = value_of("--clients", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--clients needs a number"));
-        } else if let Some(v) = arg.strip_prefix("--clients=") {
-            clients = v
-                .parse()
-                .unwrap_or_else(|_| die("--clients needs a number"));
-        } else if arg == "--requests" {
-            requests = value_of("--requests", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--requests needs a number"));
-        } else if let Some(v) = arg.strip_prefix("--requests=") {
-            requests = v
-                .parse()
-                .unwrap_or_else(|_| die("--requests needs a number"));
-        } else if arg == "--poison" {
-            poison = value_of("--poison", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--poison needs a count"));
-        } else if let Some(v) = arg.strip_prefix("--poison=") {
-            poison = v.parse().unwrap_or_else(|_| die("--poison needs a count"));
-        } else if arg == "--chaos-seed" {
-            chaos_seed = Some(
-                value_of("--chaos-seed", &mut i)
-                    .parse()
-                    .unwrap_or_else(|_| die("--chaos-seed needs a number")),
-            );
-        } else if let Some(v) = arg.strip_prefix("--chaos-seed=") {
-            chaos_seed = Some(
-                v.parse()
-                    .unwrap_or_else(|_| die("--chaos-seed needs a number")),
-            );
-        } else if arg == "--retry-base" {
-            retry_base_ms = value_of("--retry-base", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--retry-base needs milliseconds"));
-        } else if let Some(v) = arg.strip_prefix("--retry-base=") {
-            retry_base_ms = v
-                .parse()
-                .unwrap_or_else(|_| die("--retry-base needs milliseconds"));
-        } else if arg == "--retry-cap" {
-            retry_cap_ms = value_of("--retry-cap", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--retry-cap needs milliseconds"));
-        } else if let Some(v) = arg.strip_prefix("--retry-cap=") {
-            retry_cap_ms = v
-                .parse()
-                .unwrap_or_else(|_| die("--retry-cap needs milliseconds"));
-        } else if arg == "--watchdog" {
-            watchdog_ms = Some(
-                value_of("--watchdog", &mut i)
-                    .parse()
-                    .unwrap_or_else(|_| die("--watchdog needs milliseconds")),
-            );
-        } else if let Some(v) = arg.strip_prefix("--watchdog=") {
-            watchdog_ms = Some(
-                v.parse()
-                    .unwrap_or_else(|_| die("--watchdog needs milliseconds")),
-            );
-        } else if arg == "--faults" {
-            faults = value_of("--faults", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--faults needs a count"));
-        } else if let Some(v) = arg.strip_prefix("--faults=") {
-            faults = v.parse().unwrap_or_else(|_| die("--faults needs a count"));
-        } else if let Some(flag) = arg.strip_prefix("--") {
-            die(&format!("unknown flag --{flag}"));
-        } else {
-            positionals.push(arg.clone());
-        }
-        i += 1;
-    }
-    let what = positionals
-        .first()
-        .cloned()
-        .unwrap_or_else(|| "all".to_owned());
-
-    if what == "trace" {
-        let experiment = positionals
-            .get(1)
-            .cloned()
-            .unwrap_or_else(|| die("trace needs an experiment, e.g. `repro trace claims`"));
-        if positionals.len() > 2 {
-            die(&format!("unexpected argument {}", positionals[2]));
-        }
-        run_trace(&experiment, threads, telemetry.as_deref());
-        return;
-    }
-    if what == "lint" {
-        if positionals.len() > 1 {
-            die(&format!("unexpected argument {}", positionals[1]));
-        }
-        let deny_warn = match deny.as_deref() {
-            None | Some("error") => false,
-            Some("warn") => true,
-            Some(other) => die(&format!("--deny expects `warn` or `error`, got {other:?}")),
-        };
-        run_lint(json, deny_warn);
-        return;
-    }
-    if what == "analyze" {
-        if positionals.len() > 1 {
-            die(&format!("unexpected argument {}", positionals[1]));
-        }
-        let deny_warn = match deny.as_deref() {
-            None | Some("error") => false,
-            Some("warn") => true,
-            Some(other) => die(&format!("--deny expects `warn` or `error`, got {other:?}")),
-        };
-        run_analyze(json, deny_warn, sabotage);
-        return;
-    }
-    if what == "conform" {
-        if positionals.len() > 1 {
-            die(&format!("unexpected argument {}", positionals[1]));
-        }
-        run_conform(json, seed, full, sabotage, threads);
-        return;
-    }
-    if what == "soak" {
-        if positionals.len() > 1 {
-            die(&format!("unexpected argument {}", positionals[1]));
-        }
-        if resume && checkpoint.is_none() {
-            die("--resume needs --checkpoint FILE");
-        }
-        let mut spec = soak::SoakSpec {
-            cycles,
-            threads,
-            checkpoint: checkpoint.map(std::path::PathBuf::from),
-            resume,
-            inject_panic,
-            inject_hang,
-            stop_after,
-            retry: timber_resilience::RetryPolicy::from_millis(retry_base_ms, retry_cap_ms, seed),
-            ..soak::SoakSpec::pinned(seed)
-        };
-        if let Some(ms) = watchdog_ms {
-            spec.watchdog = std::time::Duration::from_millis(ms);
-        }
-        run_soak(json, &spec);
-        return;
-    }
-    if what == "serve" {
-        if positionals.len() > 1 {
-            die(&format!("unexpected argument {}", positionals[1]));
-        }
-        if resume && checkpoint.is_none() {
-            die("--resume needs --checkpoint FILE");
-        }
-        let mut config = timber_serve::EngineConfig {
-            result_capacity: capacity,
-            threads,
-            journal: checkpoint.map(std::path::PathBuf::from),
-            resume,
-            retry: timber_resilience::RetryPolicy::from_millis(retry_base_ms, retry_cap_ms, seed),
-            ..timber_serve::EngineConfig::default()
-        };
-        if let Some(ms) = watchdog_ms {
-            config.watchdog = std::time::Duration::from_millis(ms);
-        }
-        run_serve(config, socket.as_deref(), batch_size);
-        return;
-    }
-    if what == "storm" {
-        if positionals.len() > 1 {
-            die(&format!("unexpected argument {}", positionals[1]));
-        }
-        let spec = timber_serve::StormSpec {
-            clients,
-            requests,
-            seed,
-            poison,
-            threads,
-            batch_size,
-            capacity,
-            chaos_seed,
-            retry_base_ms,
-            retry_cap_ms,
-        };
-        run_storm(json, &spec, out.as_deref());
-        return;
-    }
-    if what == "chaos" {
-        if positionals.len() > 1 {
-            die(&format!("unexpected argument {}", positionals[1]));
-        }
-        let spec = timber_chaos::ChaosSpec {
-            seed,
-            faults,
-            threads,
-            sabotage,
-        };
-        run_chaos(json, &spec, out.as_deref());
-        return;
-    }
-    if what == "tune" {
-        if positionals.len() > 1 {
-            die(&format!("unexpected argument {}", positionals[1]));
-        }
-        // `tune` has its own defaults (seed 42, band tolerance 0.25),
-        // distinct from the conform seed and the bench-check tolerance
-        // that share the flag names.
-        let defaults = timber_tune::TuneSpec::default();
-        let spec = timber_tune::TuneSpec {
-            seed: if seed_set { seed } else { defaults.seed },
-            budget,
-            threads,
-            tolerance: if tolerance_set {
-                tolerance
-            } else {
-                defaults.tolerance
-            },
-            sabotage,
-        };
-        run_tune(json, &spec, out.as_deref(), frontier_check_path.as_deref());
-        return;
-    }
-    if what == "bench-check" {
-        if positionals.len() > 1 {
-            die(&format!("unexpected argument {}", positionals[1]));
-        }
-        let fresh = fresh.unwrap_or_else(|| die("bench-check needs --fresh FILE"));
-        run_bench_check(baseline.as_deref(), &fresh, tolerance, max_overhead);
-        return;
-    }
-    if positionals.len() > 1 {
-        die(&format!("unexpected argument {}", positionals[1]));
-    }
-
-    const KNOWN: &[&str] = &[
-        "all",
-        "table1",
-        "fig1",
-        "fig2",
-        "fig5",
-        "fig7",
-        "fig8",
-        "claims",
-        "claims-netlist",
-        "margin",
-        "validate",
-        "ablation-schedule",
-        "ablation-droop",
-        "dag",
-        "glitch",
-        "metastability",
-        "compare",
-        "bench",
-    ];
-    if !KNOWN.contains(&what.as_str()) {
+    let args = Args::parse(env::args().skip(1));
+    let what = args.subcommand();
+    let Some(&(_, positionals, flags, run)) = SUBCOMMANDS
+        .iter()
+        .find(|(names, ..)| names.split_whitespace().any(|n| n == what))
+    else {
+        let names: Vec<&str> = SUBCOMMANDS.iter().map(|(names, ..)| *names).collect();
+        let names = names.join(" ").replace(' ', ", ");
         die(&format!(
-            "unknown subcommand {what:?} (expected one of: {}, lint, analyze, conform, soak, serve, storm, chaos, trace, tune, bench-check)",
-            KNOWN.join(", ")
-        ));
+            "unknown subcommand {what:?} (expected one of: {names})"
+        ))
+    };
+    if let Some(extra) = args.positionals.get(1 + positionals) {
+        die(&format!("unexpected argument {extra}"));
     }
+    if let Some(((flag, _), _)) = args
+        .flags
+        .iter()
+        .find(|((name, _), _)| !flags.split_whitespace().any(|f| f == *name))
+    {
+        die(&format!("--{flag} does not apply to {what}"));
+    }
+    run(&args);
+}
+
+/// The one exit path of the gates: writes the JSON document to `--out`
+/// when given, prints it with `--json` and the rendered text otherwise,
+/// and when the gate failed prints `diagnostic` to stderr and exits 1.
+fn finish(args: &Args, doc: &str, text: &str, pass: bool, diagnostic: &str) {
+    if let Some(path) = args.text("out") {
+        std::fs::write(path, format!("{doc}\n"))
+            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+    }
+    if args.on("json") {
+        println!("{doc}");
+    } else {
+        print!("{text}");
+    }
+    if !pass {
+        eprint!("{diagnostic}");
+        std::process::exit(1);
+    }
+}
+
+/// `--threads`, where `0` (the default) means all cores.
+fn threads(args: &Args) -> usize {
+    args.get("threads").unwrap_or(0)
+}
+
+/// `--deny warn` also fails the gate on warnings; `error` is the default.
+fn deny_warn(args: &Args) -> bool {
+    match args.text("deny") {
+        None | Some("error") => false,
+        Some("warn") => true,
+        Some(other) => die(&format!("--deny expects `warn` or `error`, got {other:?}")),
+    }
+}
+
+/// Silences the default panic hook for the subcommands that run the
+/// hardened executor or the serving engine. Those isolate every trial
+/// and evaluation panic (poisoned specs panic on purpose) and keep its
+/// message in the quarantine ledger or the response, so the hook's
+/// per-panic backtrace would only pollute the report.
+fn quiet_panics() {
+    std::panic::set_hook(Box::new(|_| {}));
+}
+
+/// The seeded-jitter backoff of `--retry-base`/`--retry-cap` (10 ms and
+/// 100 ms by default).
+fn retry_policy(args: &Args, seed: u64) -> timber_resilience::RetryPolicy {
+    timber_resilience::RetryPolicy::from_millis(
+        args.get("retry-base").unwrap_or(10),
+        args.get("retry-cap").unwrap_or(100),
+        seed,
+    )
+}
+
+/// `repro [experiment]`: prints the paper's tables, figures and claims.
+fn run_experiments(args: &Args) {
+    let what = args.subcommand();
+    let json = args.on("json");
+    let threads = threads(args);
 
     let run = |name: &str| what == "all" || what == name;
+    let show = |doc: serde_json::Value, text: String| {
+        println!("{}", if json { doc.to_string() } else { text });
+    };
 
     if run("table1") {
         println!("== Table 1: comparison of online timing-error-resilience techniques ==");
@@ -589,62 +387,45 @@ fn main() {
     if run("fig1") {
         println!("== Fig. 1: critical-path distribution between flip-flops ==");
         let r = experiments::fig1();
-        if json {
-            println!("{}", report::fig1_json(&r));
-        } else {
-            println!("{}", r.render());
-        }
+        show(report::fig1_json(&r), r.render());
     }
     if run("fig2") {
         println!("== Fig. 2: checking-period schedules ==");
         println!("{}", experiments::fig2());
     }
-    if run("fig5") {
-        println!("== Fig. 5: two-stage timing error in a TIMBER flip-flop design ==");
-        let r = experiments::fig5();
-        println!("{}", r.render);
-        println!(
-            "Err1 flags: {} (expected 0)   Err2 flags: {} (expected 1)   data correct: {}",
-            r.err1_rises, r.err2_rises, r.data_correct
-        );
-        println!();
-    }
-    if run("fig7") {
-        println!("== Fig. 7: two-stage timing error in a TIMBER latch design ==");
-        let r = experiments::fig7();
-        println!("{}", r.render);
-        println!(
-            "Err1 flags: {} (expected 0)   Err2 flags: {} (expected 1)   data correct: {}",
-            r.err1_rises, r.err2_rises, r.data_correct
-        );
-        println!();
+    let waves = [
+        (5, "flip-flop", experiments::fig5 as fn() -> _),
+        (7, "latch", experiments::fig7),
+    ];
+    for (fig, style, wave) in waves {
+        if run(&format!("fig{fig}")) {
+            println!("== Fig. {fig}: two-stage timing error in a TIMBER {style} design ==");
+            let r = wave();
+            println!("{}", r.render);
+            println!(
+                "Err1 flags: {} (expected 0)   Err2 flags: {} (expected 1)   data correct: {}",
+                r.err1_rises, r.err2_rises, r.data_correct
+            );
+            println!();
+        }
     }
     if run("fig8") {
         println!("== Fig. 8: TIMBER overheads on the synthetic processor ==");
         let points = experiments::fig8();
-        if json {
-            println!("{}", report::fig8_json(&points));
-        } else {
-            println!("{}", experiments::render_fig8(&points));
-        }
+        show(
+            report::fig8_json(&points),
+            experiments::render_fig8(&points),
+        );
     }
     if run("claims") {
         println!("== §3/§4 claims: error rates, flagging policies, performance loss ==");
         let r = experiments::claims_threaded(1_000_000, threads);
-        if json {
-            println!("{}", report::claims_json(&r));
-        } else {
-            println!("{}", r.render());
-        }
+        show(report::claims_json(&r), r.render());
     }
     if run("claims-netlist") {
         println!("== §3/§4 claims on netlist-derived stage profiles ==");
         let r = experiments::claims_netlist_backed_threaded(1_000_000, threads);
-        if json {
-            println!("{}", report::claims_json(&r));
-        } else {
-            println!("{}", r.render());
-        }
+        show(report::claims_json(&r), r.render());
     }
     if run("margin") {
         println!("== Margin recovery: minimum safe operating period per scheme ==");
@@ -683,152 +464,171 @@ fn main() {
     if run("compare") {
         println!("== Cross-scheme comparison under the identical stress environment ==");
         let rows = experiments::compare_threaded(1_000_000, threads);
-        if json {
-            println!("{}", report::compare_json(&rows, experiments::PERIOD));
-        } else {
-            println!(
-                "{}",
-                experiments::render_compare(&rows, experiments::PERIOD)
-            );
-        }
+        show(
+            report::compare_json(&rows, experiments::PERIOD),
+            experiments::render_compare(&rows, experiments::PERIOD),
+        );
     }
-    // The engine baseline is opt-in (not part of `all`): it times the
-    // sweep engine rather than reproducing a paper figure.
-    if what == "bench" {
-        // `--out` keeps CI measurement runs from clobbering the
-        // committed baseline the gate compares against.
-        let out_path = out.as_deref().unwrap_or("BENCH_pipeline.json");
-        // With `--json` the banner goes to stderr so stdout stays a
-        // single machine-readable document (CI pipes it to a file).
-        if json {
-            eprintln!("== Sweep-engine baseline (writes {out_path}) ==");
-        } else {
-            println!("== Sweep-engine baseline (writes {out_path}) ==");
-        }
-        let r = perf::pipeline_baseline_threaded(2_000_000, threads, batch);
-        let doc = perf::bench_json(&r);
-        std::fs::write(out_path, format!("{doc}\n"))
-            .unwrap_or_else(|e| die(&format!("cannot write {out_path}: {e}")));
-        if json {
-            println!("{doc}");
-        } else {
-            println!("{}", perf::render_bench(&r));
-        }
-        // Gate verdicts, not programming errors: exit 1 with a
-        // diagnostic instead of unwinding through a panic.
-        if !r.identical {
-            eprintln!("repro bench FAILED: thread count changed sweep results");
-            std::process::exit(1);
-        }
-        if r.batched.is_some_and(|b| !b.identical) {
-            eprintln!("repro bench FAILED: scalar and bit-sliced engines diverged");
-            std::process::exit(1);
-        }
+}
+
+/// `repro bench`: times the sweep engine and writes the baseline
+/// document. Opt-in (not part of `all`): it measures the engine rather
+/// than reproducing a paper figure.
+fn run_bench(args: &Args) {
+    let json = args.on("json");
+    let threads = threads(args);
+    let batch = args.text("batch").map_or(perf::BatchMode::On, |v| {
+        v.parse().unwrap_or_else(|e| die(&format!("--batch {e}")))
+    });
+    // `--out` keeps CI measurement runs from clobbering the committed
+    // baseline the gate compares against.
+    let out_path = args.text("out").unwrap_or("BENCH_pipeline.json");
+    // With `--json` the banner goes to stderr so stdout stays a single
+    // machine-readable document (CI pipes it to a file).
+    if json {
+        eprintln!("== Sweep-engine baseline (writes {out_path}) ==");
+    } else {
+        println!("== Sweep-engine baseline (writes {out_path}) ==");
+    }
+    let r = perf::pipeline_baseline_threaded(2_000_000, threads, batch);
+    let doc = perf::bench_json(&r);
+    std::fs::write(out_path, format!("{doc}\n"))
+        .unwrap_or_else(|e| die(&format!("cannot write {out_path}: {e}")));
+    if json {
+        println!("{doc}");
+    } else {
+        println!("{}", perf::render_bench(&r));
+    }
+    // Gate verdicts, not programming errors: exit 1 with a diagnostic
+    // instead of unwinding through a panic.
+    if !r.identical {
+        eprintln!("repro bench FAILED: thread count changed sweep results");
+        std::process::exit(1);
+    }
+    if r.batched.is_some_and(|b| !b.identical) {
+        eprintln!("repro bench FAILED: scalar and bit-sliced engines diverged");
+        std::process::exit(1);
     }
 }
 
 /// `repro lint`: the static design-rule gate over every shipped
 /// generator config. Exit 1 when any config has findings at the deny
 /// threshold.
-fn run_lint(json: bool, deny_warn: bool) {
+fn run_lint(args: &Args) {
+    let deny_warn = deny_warn(args);
     let reports = lintgate::lint_all();
-    if json {
-        println!("{}", timber_lint::reports_json(&reports, deny_warn));
-    } else {
-        print!("{}", lintgate::render_reports(&reports, deny_warn));
-    }
-    if !lintgate::gate_passes(&reports, deny_warn) {
-        std::process::exit(1);
-    }
+    finish(
+        args,
+        &timber_lint::reports_json(&reports, deny_warn),
+        &lintgate::render_reports(&reports, deny_warn),
+        lintgate::gate_passes(&reports, deny_warn),
+        "",
+    );
 }
 
 /// `repro analyze`: the abstract-interpretation certification gate.
 /// Exit 1 when any certificate, governor bound or soundness replay has
 /// findings at the deny threshold (with `--sabotage`, exiting 1 *is*
 /// the expected self-test outcome).
-fn run_analyze(json: bool, deny_warn: bool, sabotage: bool) {
-    let gate = analyzegate::run(sabotage);
-    if json {
-        println!("{}", analyzegate::gate_json(&gate, deny_warn));
-    } else {
-        print!("{}", analyzegate::render(&gate, deny_warn));
-    }
-    if !analyzegate::gate_passes(&gate, deny_warn) {
-        std::process::exit(1);
-    }
+fn run_analyze(args: &Args) {
+    let deny_warn = deny_warn(args);
+    let gate = analyzegate::run(args.on("sabotage"));
+    finish(
+        args,
+        &analyzegate::gate_json(&gate, deny_warn),
+        &analyzegate::render(&gate, deny_warn),
+        analyzegate::gate_passes(&gate, deny_warn),
+        "",
+    );
 }
 
-/// `repro conform`: the differential conformance campaign. Exit 1 when
-/// the report does not pass (divergence, contract or metamorphic
-/// violation, or incomplete coverage).
-fn run_conform(json: bool, seed: u64, full: bool, sabotage: bool, threads: usize) {
-    let report = conform::run(seed, full, sabotage, threads);
-    if json {
-        println!("{}", report.json());
+/// `repro conform`: the differential conformance campaign, the pinned
+/// CI configuration or with `--full` the larger one. Exit 1 when the
+/// report does not pass (divergence, contract or metamorphic violation,
+/// or incomplete coverage).
+fn run_conform(args: &Args) {
+    use timber_conformance::{run_campaign, CampaignSpec};
+    let seed = args.get("seed").unwrap_or(DEFAULT_SEED);
+    let spec = if args.on("full") {
+        CampaignSpec::full(seed)
     } else {
-        print!("{}", report.render());
-    }
-    if !report.pass() {
-        std::process::exit(1);
-    }
+        CampaignSpec::pinned(seed)
+    };
+    let report = run_campaign(&spec.threads(threads(args)).sabotage(args.on("sabotage")));
+    finish(args, &report.json(), &report.render(), report.pass(), "");
 }
 
 /// `repro soak`: the resilience soak campaign. Exit 1 when the report
 /// does not pass (a real trial quarantined or missing, or an injected
 /// failure escaping the ledger); checkpoint I/O problems are usage
 /// errors (exit 2) naming the offending path.
-fn run_soak(json: bool, spec: &soak::SoakSpec) {
-    // Trial panics are isolated and quarantined by the hardened
-    // executor (the ledger keeps each panic message), so the default
-    // hook's per-panic backtrace spew would only pollute the report.
-    std::panic::set_hook(Box::new(|_| {}));
-    let report = soak::run(spec).unwrap_or_else(|e| {
-        let path = spec
-            .checkpoint
-            .as_deref()
-            .map(|p| p.display().to_string())
-            .unwrap_or_else(|| "<none>".to_owned());
+fn run_soak(args: &Args) {
+    let seed = args.get("seed").unwrap_or(soak::DEFAULT_SEED);
+    let pinned = soak::SoakSpec::pinned(seed);
+    let spec = soak::SoakSpec {
+        cycles: args.get("cycles").unwrap_or(pinned.cycles),
+        threads: threads(args),
+        checkpoint: args.get("checkpoint"),
+        resume: args.on("resume"),
+        inject_panic: args.get("inject-panic").unwrap_or(pinned.inject_panic),
+        inject_hang: args.get("inject-hang").unwrap_or(pinned.inject_hang),
+        stop_after: args.get("stop-after"),
+        retry: retry_policy(args, seed),
+        watchdog: args
+            .get("watchdog")
+            .map_or(pinned.watchdog, Duration::from_millis),
+        ..pinned
+    };
+    if spec.resume && spec.checkpoint.is_none() {
+        die("--resume needs --checkpoint FILE");
+    }
+    quiet_panics();
+    let report = soak::run(&spec).unwrap_or_else(|e| {
+        let path = args.text("checkpoint").unwrap_or("<none>");
         die(&format!("cannot use checkpoint {path}: {e}"))
     });
-    if json {
-        println!("{}", report.json());
-    } else {
-        print!("{}", report.render());
-    }
-    if !report.pass() {
-        std::process::exit(1);
-    }
+    finish(args, &report.json(), &report.render(), report.pass(), "");
 }
 
 /// `repro serve`: the persistent evaluation daemon. Serves JSONL
 /// requests on stdin (or `--socket PATH`) until a shutdown request or
 /// EOF; journal/socket I/O problems are usage errors (exit 2) naming
 /// the path.
-fn run_serve(config: timber_serve::EngineConfig, socket: Option<&str>, batch_size: usize) {
-    // Poisoned compiles and evaluation panics are isolated and
-    // quarantined by the engine (the response keeps the panic message),
-    // so the default hook's backtrace spew would only pollute the
-    // response stream's stderr.
-    std::panic::set_hook(Box::new(|_| {}));
-    let journal = config
-        .journal
-        .as_deref()
-        .map(|p| p.display().to_string())
-        .unwrap_or_else(|| "<none>".to_owned());
-    let mut engine = timber_serve::Engine::new(config)
-        .unwrap_or_else(|e| die(&format!("cannot open journal {journal}: {e}")));
-    let batch_size = batch_size.max(1);
-    match socket {
+fn run_serve(args: &Args) {
+    let defaults = timber_serve::EngineConfig::default();
+    let config = timber_serve::EngineConfig {
+        result_capacity: args.get("capacity").unwrap_or(defaults.result_capacity),
+        threads: threads(args),
+        journal: args.get("checkpoint"),
+        resume: args.on("resume"),
+        retry: retry_policy(args, args.get("seed").unwrap_or(DEFAULT_SEED)),
+        watchdog: args
+            .get("watchdog")
+            .map_or(defaults.watchdog, Duration::from_millis),
+        ..defaults
+    };
+    let batch_size = args
+        .get("batch-size")
+        .unwrap_or(timber_serve::DEFAULT_BATCH_SIZE)
+        .max(1);
+    if config.resume && config.journal.is_none() {
+        die("--resume needs --checkpoint FILE");
+    }
+    quiet_panics();
+    let mut engine = timber_serve::Engine::new(config).unwrap_or_else(|e| {
+        let journal = args.text("checkpoint").unwrap_or("<none>");
+        die(&format!("cannot open journal {journal}: {e}"))
+    });
+    match args.text("socket") {
         Some(path) => {
             eprintln!("repro serve: listening on {path}");
             timber_serve::serve_unix(&mut engine, std::path::Path::new(path), batch_size)
                 .unwrap_or_else(|e| die(&format!("cannot serve socket {path}: {e}")));
         }
         None => {
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            timber_serve::serve_lines(&mut engine, stdin.lock(), &mut stdout.lock(), batch_size)
-                .map(|_| ())
+            let stdin = std::io::stdin().lock();
+            let mut stdout = std::io::stdout().lock();
+            timber_serve::serve_lines(&mut engine, stdin, &mut stdout, batch_size)
                 .unwrap_or_else(|e| die(&format!("cannot serve stdin: {e}")));
         }
     }
@@ -838,22 +638,28 @@ fn run_serve(config: timber_serve::EngineConfig, socket: Option<&str>, batch_siz
 /// engine. Exit 1 when the gate fails (a real request not answered
 /// `ok`, a poisoned request escaping quarantine, or the hit-rate or
 /// hit-speedup floor breached).
-fn run_storm(json: bool, spec: &timber_serve::StormSpec, out: Option<&str>) {
-    std::panic::set_hook(Box::new(|_| {}));
-    let report = timber_serve::storm::run(spec).unwrap_or_else(|e| die(&format!("storm: {e}")));
-    if let Some(path) = out {
-        std::fs::write(path, format!("{}\n", report.json()))
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-    }
-    if json {
-        println!("{}", report.json());
-    } else {
-        print!("{}", report.render());
-    }
-    if !report.pass() {
-        eprintln!("repro storm FAILED:\n{}", report.render());
-        std::process::exit(1);
-    }
+fn run_storm(args: &Args) {
+    let pinned = timber_serve::StormSpec::pinned(args.get("seed").unwrap_or(DEFAULT_SEED));
+    let spec = timber_serve::StormSpec {
+        clients: args.get("clients").unwrap_or(pinned.clients),
+        requests: args.get("requests").unwrap_or(pinned.requests),
+        poison: args.get("poison").unwrap_or(pinned.poison),
+        threads: threads(args),
+        // The CLI batches like `serve`, not like the pinned CI campaign.
+        batch_size: args
+            .get("batch-size")
+            .unwrap_or(timber_serve::DEFAULT_BATCH_SIZE),
+        capacity: args.get("capacity").unwrap_or(pinned.capacity),
+        chaos_seed: args.get("chaos-seed"),
+        retry_base_ms: args.get("retry-base").unwrap_or(pinned.retry_base_ms),
+        retry_cap_ms: args.get("retry-cap").unwrap_or(pinned.retry_cap_ms),
+        ..pinned
+    };
+    quiet_panics();
+    let report = timber_serve::storm::run(&spec).unwrap_or_else(|e| die(&format!("storm: {e}")));
+    let text = report.render();
+    let diagnostic = format!("repro storm FAILED:\n{text}\n");
+    finish(args, &report.json(), &text, report.pass(), &diagnostic);
 }
 
 /// `repro chaos`: the deterministic fault-injection campaign against
@@ -862,24 +668,18 @@ fn run_storm(json: bool, spec: &timber_serve::StormSpec, out: Option<&str>) {
 /// final replay drifting from the unfaulted oracle — with
 /// `--sabotage`, which disables the cache-read checksum, exiting 1
 /// *is* the expected self-test outcome).
-fn run_chaos(json: bool, spec: &timber_chaos::ChaosSpec, out: Option<&str>) {
-    // Poison-spec compiles panic on purpose; the engine isolates and
-    // quarantines them, so the default hook would only spew backtraces.
-    std::panic::set_hook(Box::new(|_| {}));
-    let report = timber_chaos::run(spec).unwrap_or_else(|e| die(&format!("chaos: {e}")));
-    if let Some(path) = out {
-        std::fs::write(path, format!("{}\n", report.json()))
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-    }
-    if json {
-        println!("{}", report.json());
-    } else {
-        print!("{}", report.render());
-    }
-    if !report.pass() {
-        eprintln!("repro chaos FAILED:\n{}", report.render());
-        std::process::exit(1);
-    }
+fn run_chaos(args: &Args) {
+    let spec = timber_chaos::ChaosSpec {
+        seed: args.get("seed").unwrap_or(DEFAULT_SEED),
+        faults: args.get("faults").unwrap_or(timber_chaos::DEFAULT_FAULTS),
+        threads: threads(args),
+        sabotage: args.on("sabotage"),
+    };
+    quiet_panics();
+    let report = timber_chaos::run(&spec).unwrap_or_else(|e| die(&format!("chaos: {e}")));
+    let text = report.render();
+    let diagnostic = format!("repro chaos FAILED:\n{text}\n");
+    finish(args, &report.json(), &text, report.pass(), &diagnostic);
 }
 
 /// `repro tune`: the design-space autotuner and its golden-frontier
@@ -888,73 +688,87 @@ fn run_chaos(json: bool, spec: &timber_chaos::ChaosSpec, out: Option<&str>) {
 /// exiting 1 *is* the expected self-test outcome) or when
 /// `--frontier-check` finds the recomputed document drifted from the
 /// committed golden; unreadable or malformed goldens are usage errors.
-fn run_tune(
-    json: bool,
-    spec: &timber_tune::TuneSpec,
-    out: Option<&str>,
-    frontier_check: Option<&str>,
-) {
-    if let Some(path) = frontier_check {
-        let golden = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-        match tune::frontier_check(&golden, spec.threads) {
-            Ok(tune::FrontierCheck::Match) => {
-                println!("repro tune: frontier check PASS ({path} reproduces byte-identically)");
-            }
-            Ok(tune::FrontierCheck::Drift {
-                line,
-                golden,
-                fresh,
-            }) => {
-                eprintln!("repro tune FAILED: {path} drifted from the recomputed frontier");
-                eprintln!("  first difference at line {line}:");
-                eprintln!("  golden: {golden}");
-                eprintln!("  fresh:  {fresh}");
-                std::process::exit(1);
-            }
-            Ok(tune::FrontierCheck::Invalid(violations)) => {
-                eprintln!("repro tune FAILED: recomputed frontier does not validate:");
-                for v in &violations {
-                    eprintln!("  - {v}");
-                }
-                std::process::exit(1);
-            }
-            Err(msg) => die(&msg),
-        }
+fn run_tune(args: &Args) {
+    // `tune` has its own defaults (seed 42, band tolerance 0.25),
+    // distinct from the conform seed and the bench-check tolerance
+    // that share the flag names.
+    let defaults = timber_tune::TuneSpec::default();
+    let spec = timber_tune::TuneSpec {
+        seed: args.get("seed").unwrap_or(defaults.seed),
+        budget: args.get("budget").unwrap_or(defaults.budget),
+        threads: threads(args),
+        tolerance: args.get("tolerance").unwrap_or(defaults.tolerance),
+        sabotage: args.on("sabotage"),
+    };
+    if let Some(path) = args.text("frontier-check") {
+        frontier_check(path, spec.threads);
         return;
     }
-    let (report, doc) = tune::tune_document(spec);
-    if let Some(path) = out {
-        std::fs::write(path, &doc).unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-    }
-    if json {
-        print!("{doc}");
-    } else {
-        print!("{}", tune::render_report(&report));
-    }
-    if !report.pass() {
-        eprintln!("repro tune FAILED:");
-        for v in report.violations() {
-            eprintln!("  - {v}");
+    let (report, doc) = tune::tune_document(&spec);
+    let violations: String = report
+        .violations()
+        .iter()
+        .map(|v| format!("  - {v}\n"))
+        .collect();
+    finish(
+        args,
+        doc.trim_end(),
+        &timber_tune::render(&report),
+        report.pass(),
+        &format!("repro tune FAILED:\n{violations}"),
+    );
+}
+
+/// `repro tune --frontier-check FILE`: recomputes the golden frontier
+/// with the spec recorded inside it and fails on any byte of drift.
+fn frontier_check(path: &str, threads: usize) {
+    let golden =
+        std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
+    match tune::frontier_check(&golden, threads) {
+        Ok(tune::FrontierCheck::Match) => {
+            println!("repro tune: frontier check PASS ({path} reproduces byte-identically)");
         }
-        std::process::exit(1);
+        Ok(tune::FrontierCheck::Drift {
+            line,
+            golden,
+            fresh,
+        }) => {
+            eprintln!("repro tune FAILED: {path} drifted from the recomputed frontier");
+            eprintln!("  first difference at line {line}:");
+            eprintln!("  golden: {golden}");
+            eprintln!("  fresh:  {fresh}");
+            std::process::exit(1);
+        }
+        Ok(tune::FrontierCheck::Invalid(violations)) => {
+            eprintln!("repro tune FAILED: recomputed frontier does not validate:");
+            for v in &violations {
+                eprintln!("  - {v}");
+            }
+            std::process::exit(1);
+        }
+        Err(msg) => die(&msg),
     }
 }
 
 /// `repro trace <experiment>`: runs the experiment with telemetry and
 /// exports the trace.
-fn run_trace(experiment: &str, threads: usize, telemetry: Option<&str>) {
+fn run_trace(args: &Args) {
+    let threads = threads(args);
+    let experiment = args
+        .positionals
+        .get(1)
+        .unwrap_or_else(|| die("trace needs an experiment, e.g. `repro trace claims`"));
     println!("== Telemetry trace: {experiment} ==");
     let t = trace::trace_experiment(experiment, 1_000_000, threads, trace::DEFAULT_RING_CAPACITY)
         .unwrap_or_else(|e| die(&e));
     print!("{}", t.render());
-    if let Some(path) = telemetry {
+    if let Some(path) = args.text("telemetry") {
         std::fs::write(path, t.json())
             .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        let csv_path = match path.rsplit_once('.') {
-            Some((stem, _ext)) => format!("{stem}.csv"),
-            None => format!("{path}.csv"),
-        };
+        let csv_path = format!(
+            "{}.csv",
+            path.rsplit_once('.').map_or(path, |(stem, _)| stem)
+        );
         std::fs::write(&csv_path, t.csv())
             .unwrap_or_else(|e| die(&format!("cannot write {csv_path}: {e}")));
         println!("wrote {path} and {csv_path}");
@@ -964,17 +778,17 @@ fn run_trace(experiment: &str, threads: usize, telemetry: Option<&str>) {
 /// `repro bench-check`: the CI regression gate over `BENCH_pipeline.json`
 /// documents. Within-run checks always run; the cross-run throughput
 /// comparison needs `--baseline`.
-fn run_bench_check(baseline: Option<&str>, fresh: &str, tolerance: f64, max_overhead: f64) {
+fn run_bench_check(args: &Args) {
+    let tolerance = args.get("tolerance").unwrap_or(0.15);
+    let max_overhead = args.get("max-overhead").unwrap_or(0.5);
+    let fresh = args
+        .text("fresh")
+        .unwrap_or_else(|| die("bench-check needs --fresh FILE"));
     let read = |path: &str| {
         std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")))
     };
-    let baseline_doc = baseline.map(read);
-    match perf::bench_check(
-        baseline_doc.as_deref(),
-        &read(fresh),
-        tolerance,
-        max_overhead,
-    ) {
+    let baseline = args.text("baseline").map(read);
+    match perf::bench_check(baseline.as_deref(), &read(fresh), tolerance, max_overhead) {
         Ok(report) => print!("{report}"),
         Err(breaches) => {
             eprintln!("repro bench-check FAILED:\n{breaches}");
@@ -986,4 +800,23 @@ fn run_bench_check(baseline: Option<&str>, fresh: &str, tolerance: f64, max_over
 fn die(msg: &str) -> ! {
     eprintln!("repro: {msg}");
     std::process::exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_subcommand_table_names_only_known_flags_and_uses_every_flag() {
+        let used: Vec<&str> = SUBCOMMANDS
+            .iter()
+            .flat_map(|(_, _, flags, _)| flags.split_whitespace())
+            .collect();
+        for flag in &used {
+            assert!(FLAGS.iter().any(|(name, _)| name == flag), "--{flag}");
+        }
+        for (name, _) in FLAGS {
+            assert!(used.contains(name), "--{name} is read by no subcommand");
+        }
+    }
 }

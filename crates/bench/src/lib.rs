@@ -5,9 +5,8 @@
 //! the paper-vs-measured record).
 //!
 //! Each experiment is a library function returning a structured result
-//! plus a text rendering; the `repro` binary prints them and the
-//! Criterion benches in `benches/` time them. Experiments are seeded
-//! and deterministic.
+//! plus a text rendering; the `repro` binary prints them. Experiments
+//! are seeded and deterministic.
 //!
 //! | Paper item | Function |
 //! |---|---|
@@ -24,7 +23,6 @@
 
 pub mod ablations;
 pub mod analyzegate;
-pub mod conform;
 pub mod experiments;
 pub mod lintgate;
 pub mod margin;

@@ -44,10 +44,7 @@ pub const BATCH_SPEEDUP_FLOOR: f64 = 4.0;
 /// Whether `repro bench` runs the bit-sliced batching measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchMode {
-    /// Decide automatically (currently always measures; the variant is
-    /// reserved for future size/host heuristics). The default.
-    Auto,
-    /// Always measure the batched path.
+    /// Measure the batched path. The default.
     On,
     /// Skip the batched path; the document records `batched: null`.
     Off,
@@ -65,10 +62,9 @@ impl FromStr for BatchMode {
 
     fn from_str(s: &str) -> Result<BatchMode, String> {
         match s {
-            "auto" => Ok(BatchMode::Auto),
             "on" => Ok(BatchMode::On),
             "off" => Ok(BatchMode::Off),
-            other => Err(format!("expects `on`, `off` or `auto`, got {other:?}")),
+            other => Err(format!("expects `on` or `off`, got {other:?}")),
         }
     }
 }
@@ -214,7 +210,7 @@ fn batch_baseline(cycles: u64) -> BatchBench {
 /// thread count did not change a single statistic, and runs the
 /// bit-sliced batching measurement.
 pub fn pipeline_baseline(cycles: u64) -> BenchResult {
-    pipeline_baseline_threaded(cycles, 0, BatchMode::Auto)
+    pipeline_baseline_threaded(cycles, 0, BatchMode::On)
 }
 
 /// [`pipeline_baseline`] with an explicit worker-thread count for the
@@ -586,8 +582,7 @@ mod tests {
     fn batch_mode_parses_per_the_cli_contract() {
         assert_eq!("on".parse::<BatchMode>().unwrap(), BatchMode::On);
         assert_eq!("off".parse::<BatchMode>().unwrap(), BatchMode::Off);
-        assert_eq!("auto".parse::<BatchMode>().unwrap(), BatchMode::Auto);
-        assert!(BatchMode::Auto.enabled());
+        assert!("auto".parse::<BatchMode>().is_err());
         assert!(BatchMode::On.enabled());
         assert!(!BatchMode::Off.enabled());
         let err = "maybe".parse::<BatchMode>().unwrap_err();

@@ -11,7 +11,7 @@
 //! minimality, paper-anchor band membership) reports a violation.
 
 use serde_json::Value;
-use timber_tune::{render, report_json, tune, TuneReport, TuneSpec};
+use timber_tune::{report_json, tune, TuneReport, TuneSpec};
 
 /// Runs the search and serialises the frontier document (with a
 /// trailing newline, the on-disk golden format).
@@ -19,11 +19,6 @@ pub fn tune_document(spec: &TuneSpec) -> (TuneReport, String) {
     let report = tune(spec);
     let doc = serde_json::to_string_pretty(&report_json(&report)).expect("report serialises");
     (report, format!("{doc}\n"))
-}
-
-/// Renders the human-readable tune summary.
-pub fn render_report(report: &TuneReport) -> String {
-    render(report)
 }
 
 /// Outcome of a `--frontier-check` run.

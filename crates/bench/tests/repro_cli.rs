@@ -602,3 +602,89 @@ fn conform_sabotage_fails_with_exit_1() {
     assert!(text.contains("DIVERGENCE"), "{text}");
     assert!(text.contains("FAIL"), "{text}");
 }
+
+/// The per-subcommand flag table: a flag that another subcommand reads
+/// exits 2 naming it, `--f=v` and flags before the subcommand are still
+/// accepted, and each subcommand takes exactly its positionals. Every
+/// case is cheap: refusals exit before any work runs, and the accepted
+/// forms use `lint` and `fig2`.
+#[test]
+fn flags_and_positionals_follow_the_subcommand_table() {
+    // (argv, exit code, text stderr must contain)
+    let cases: &[(&[&str], i32, &str)] = &[
+        (
+            &["fig2", "--sabotage", "--faults", "3"],
+            2,
+            "--sabotage does not apply to fig2",
+        ),
+        (&["--out", "x.json"], 2, "--out does not apply to all"),
+        (
+            &["bench", "--seed", "1"],
+            2,
+            "--seed does not apply to bench",
+        ),
+        (
+            &["bench", "--batch", "auto"],
+            2,
+            "--batch expects `on` or `off`",
+        ),
+        (
+            &["trace", "claims", "--json"],
+            2,
+            "--json does not apply to trace",
+        ),
+        (
+            &["bench-check", "--threads", "2"],
+            2,
+            "--threads does not apply to bench-check",
+        ),
+        (
+            &["lint", "--socket", "/tmp/x", "--clients", "9"],
+            2,
+            "--socket does not apply to lint",
+        ),
+        (
+            &["analyze", "--out", "x.json"],
+            2,
+            "--out does not apply to analyze",
+        ),
+        (
+            &["conform", "--cycles", "4"],
+            2,
+            "--cycles does not apply to conform",
+        ),
+        (&["soak", "--full"], 2, "--full does not apply to soak"),
+        (&["serve", "--json"], 2, "--json does not apply to serve"),
+        (
+            &["storm", "--faults", "3"],
+            2,
+            "--faults does not apply to storm",
+        ),
+        (
+            &["chaos", "--clients=3"],
+            2,
+            "--clients does not apply to chaos",
+        ),
+        (
+            &["tune", "--faults", "banana"],
+            2,
+            "--faults does not apply to tune",
+        ),
+        (&["--deny=warn", "lint"], 0, ""),
+        (&["lint", "--json", "--deny=warn"], 0, ""),
+        (&["--threads=2", "fig2", "--json"], 0, ""),
+        (&["trace"], 2, "trace needs an experiment"),
+        (
+            &["trace", "claims", "extra"],
+            2,
+            "unexpected argument extra",
+        ),
+        (&["fig2", "extra"], 2, "unexpected argument extra"),
+    ];
+    for (args, code, needle) in cases {
+        let out = repro(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(*code), "{args:?}: {err}");
+        assert!(err.contains(needle), "{args:?}: {err}");
+    }
+}

@@ -91,10 +91,10 @@ impl CampaignSpec {
         }
     }
 
-    /// Worker-thread count to use.
+    /// Worker-thread count to use (`0` = all cores).
     #[must_use]
     pub fn threads(mut self, threads: usize) -> CampaignSpec {
-        self.threads = threads.max(1);
+        self.threads = timber_resilience::resolve_threads(threads);
         self
     }
 
@@ -444,11 +444,9 @@ fn run_case(spec: &CampaignSpec, flat: usize) -> CaseOutcome {
 /// Runs the campaign and reduces the per-case outcomes — in canonical
 /// flat order, regardless of thread count — into a report.
 pub fn run_campaign(spec: &CampaignSpec) -> CampaignReport {
-    let cases = spec.cases();
-    let threads = spec.threads.max(1).min(cases.max(1));
-    let indices: Vec<usize> = (0..cases).collect();
+    let indices: Vec<usize> = (0..spec.cases()).collect();
     let outcomes =
-        timber_resilience::scatter_strict(&indices, threads, &|&flat| run_case(spec, flat));
+        timber_resilience::scatter_strict(&indices, spec.threads, &|&flat| run_case(spec, flat));
 
     let mut report = CampaignReport::new(spec.base_seed, spec.sabotage);
     for outcome in outcomes {
@@ -523,6 +521,13 @@ mod tests {
     fn thread_count_does_not_change_the_report() {
         let a = run_campaign(&CampaignSpec::pinned(3));
         let b = run_campaign(&CampaignSpec::pinned(3).threads(4));
+        assert_eq!(a.json(), b.json());
+    }
+
+    #[test]
+    fn zero_threads_matches_explicit_threads() {
+        let a = run_campaign(&CampaignSpec::pinned(3).threads(0));
+        let b = run_campaign(&CampaignSpec::pinned(3).threads(2));
         assert_eq!(a.json(), b.json());
     }
 
