@@ -123,19 +123,22 @@ enum DelaySupply<'a> {
 }
 
 impl DelaySupply<'_> {
-    /// Fills one cycle's delay row, preserving the exact legacy
-    /// operation order in environment mode (per stage, ascending: one
-    /// sensitization sample, then one variability factor) so results
-    /// stay bit-identical with the pre-row-based hot loop.
-    fn fill_row(&mut self, cycle: u64, row: &mut [Picos]) {
+    /// Fills one cycle's delay row. In environment mode the variability
+    /// model fills `factors` with one [`DelaySource::scale_row`] call,
+    /// then each stage's sensitized base delay (sampled in ascending
+    /// stage order, as before) is scaled by its slot. The sensitization
+    /// stream and the variability sources share no state, so the
+    /// delays are bit-identical to sampling and deriving stage by stage.
+    fn fill_row(&mut self, cycle: u64, row: &mut [Picos], factors: &mut [f64]) {
         match self {
             DelaySupply::Environment {
                 sensitization,
                 variability,
             } => {
-                for (s, slot) in row.iter_mut().enumerate() {
+                factors.fill(1.0);
+                variability.scale_row(cycle, factors);
+                for (s, (slot, &factor)) in row.iter_mut().zip(factors.iter()).enumerate() {
                     let (base, _class) = sensitization.sample(s);
-                    let factor = variability.factor(cycle, s);
                     *slot = base.scale(factor);
                 }
             }
@@ -173,6 +176,9 @@ struct StageSoa {
     next_chain: Vec<usize>,
     /// Per-stage combinational delay row, filled once per cycle.
     delay_row: Vec<Picos>,
+    /// Per-stage variability factor row the environment supply fills
+    /// once per cycle (unused by planned supplies).
+    factor_row: Vec<f64>,
     /// Per-stage arrival row (`carry + delay`), built in one pass.
     arrival_row: Vec<Picos>,
 }
@@ -185,6 +191,7 @@ impl StageSoa {
             next_carry: vec![Picos::ZERO; stages + 1],
             next_chain: vec![0; stages + 1],
             delay_row: vec![Picos::ZERO; stages],
+            factor_row: vec![1.0; stages],
             arrival_row: vec![Picos::ZERO; stages],
         }
     }
@@ -524,7 +531,8 @@ impl<'a, S: TelemetrySink> PipelineSim<'a, S> {
             };
             // Row-based cycle step: sample the whole delay row, build
             // the arrival row in one pass, then classify outcomes.
-            self.supply.fill_row(t, &mut self.soa.delay_row);
+            self.supply
+                .fill_row(t, &mut self.soa.delay_row, &mut self.soa.factor_row);
             self.soa.begin_cycle();
 
             for s in 0..self.config.stages {

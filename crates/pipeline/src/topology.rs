@@ -113,6 +113,16 @@ pub struct TopologySim<'a> {
     /// Borrow flowing into each boundary this cycle.
     carry: Vec<Picos>,
     chain: Vec<usize>,
+    /// Per-cycle scratch rows, allocated once: the variability factor
+    /// of each boundary, the borrow and chain each boundary produced,
+    /// the next cycle's carry/chain (swapped into `carry`/`chain`), and
+    /// whether a successor consumed each boundary's borrow.
+    factors: Vec<f64>,
+    borrowed: Vec<Picos>,
+    produced_chain: Vec<usize>,
+    next_carry: Vec<Picos>,
+    next_chain: Vec<usize>,
+    consumed: Vec<bool>,
     cycle: u64,
 }
 
@@ -155,6 +165,12 @@ impl<'a> TopologySim<'a> {
             variability,
             carry: vec![Picos::ZERO; n],
             chain: vec![0; n],
+            factors: vec![1.0; n],
+            borrowed: vec![Picos::ZERO; n],
+            produced_chain: vec![0; n],
+            next_carry: vec![Picos::ZERO; n],
+            next_chain: vec![0; n],
+            consumed: vec![false; n],
             cycle: 0,
         }
     }
@@ -175,12 +191,13 @@ impl<'a> TopologySim<'a> {
                 nominal_period: self.nominal_period,
             };
             // Per-boundary borrow/chain produced this cycle.
-            let mut borrowed = vec![Picos::ZERO; n];
-            let mut produced_chain = vec![0usize; n];
+            self.borrowed.fill(Picos::ZERO);
+            self.produced_chain.fill(0);
+            self.factors.fill(1.0);
+            self.variability.scale_row(t, &mut self.factors);
             for b in 0..n {
                 let (base, _) = self.sensitization.sample(b);
-                let factor = self.variability.factor(t, b);
-                let arrival = self.carry[b] + base.scale(factor);
+                let arrival = self.carry[b] + base.scale(self.factors[b]);
                 let outcome = self.scheme.evaluate(b, arrival, self.carry[b], &ctx);
                 match outcome {
                     StageOutcome::Ok => {
@@ -196,8 +213,8 @@ impl<'a> TopologySim<'a> {
                         if flagged {
                             stats.flagged += 1;
                         }
-                        borrowed[b] = amt;
-                        produced_chain[b] = self.chain[b] + 1;
+                        self.borrowed[b] = amt;
+                        self.produced_chain[b] = self.chain[b] + 1;
                     }
                     StageOutcome::Detected { recovery } => {
                         stats.detected += 1;
@@ -214,17 +231,17 @@ impl<'a> TopologySim<'a> {
                 }
             }
             // Propagate along DAG edges for the next cycle.
-            let mut next_carry = vec![Picos::ZERO; n];
-            let mut next_chain = vec![0usize; n];
-            let mut consumed = vec![false; n];
+            self.next_carry.fill(Picos::ZERO);
+            self.next_chain.fill(0);
+            self.consumed.fill(false);
             for b in 0..n {
                 for &p in self.topology.preds(b) {
-                    if borrowed[p] > next_carry[b] {
-                        next_carry[b] = borrowed[p];
+                    if self.borrowed[p] > self.next_carry[b] {
+                        self.next_carry[b] = self.borrowed[p];
                     }
-                    next_chain[b] = next_chain[b].max(produced_chain[p]);
-                    if borrowed[p] > Picos::ZERO {
-                        consumed[p] = true;
+                    self.next_chain[b] = self.next_chain[b].max(self.produced_chain[p]);
+                    if self.borrowed[p] > Picos::ZERO {
+                        self.consumed[p] = true;
                     }
                 }
             }
@@ -232,12 +249,12 @@ impl<'a> TopologySim<'a> {
             // (sink boundaries) fall off the pipeline here; consumed
             // ones continue via `next_chain` at their successors.
             for b in 0..n {
-                if produced_chain[b] > 0 && !consumed[b] {
-                    stats.record_chain(produced_chain[b]);
+                if self.produced_chain[b] > 0 && !self.consumed[b] {
+                    stats.record_chain(self.produced_chain[b]);
                 }
             }
-            self.carry = next_carry;
-            self.chain = next_chain;
+            std::mem::swap(&mut self.carry, &mut self.next_carry);
+            std::mem::swap(&mut self.chain, &mut self.next_chain);
             stats.instructions += 1;
         }
         for &len in &self.chain {

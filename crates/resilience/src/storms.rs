@@ -83,7 +83,46 @@ impl std::fmt::Display for StormScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use timber_variability::DelaySource;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The simulators' row path (`scale_row` on a row of 1.0s)
+        /// equals the per-stage `factor` of every storm bit for bit,
+        /// over several droop periods and events, with gaps like a
+        /// simulator's recovery bubbles.
+        #[test]
+        fn storm_rows_match_per_stage_factors(
+            which in 0usize..3,
+            stages in 1usize..=9,
+            seed in any::<u64>(),
+            horizon in 1u64..12_000,
+            stride in 1u64..16,
+        ) {
+            let sc = StormScenario::ALL[which];
+            let (mut rows, mut per_stage) = (sc.build(stages, seed), sc.build(stages, seed));
+            let mut row = vec![1.0; stages];
+            let mut cycle = 0u64;
+            while cycle < horizon {
+                row.fill(1.0);
+                rows.scale_row(cycle, &mut row);
+                for (s, &got) in row.iter().enumerate() {
+                    let want = per_stage.factor(cycle, s);
+                    prop_assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{} cycle {} stage {}",
+                        sc,
+                        cycle,
+                        s
+                    );
+                }
+                cycle += 1 + cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15) % stride;
+            }
+        }
+    }
 
     #[test]
     fn names_round_trip() {

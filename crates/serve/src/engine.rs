@@ -588,8 +588,12 @@ impl Engine {
         {
             match payload {
                 Some(body) => {
-                    // Compile share + evaluation, one cold sample per
-                    // unique key.
+                    // One cold sample per unique key: the larger of this
+                    // key's evaluation time and the time since its
+                    // compile started. That clock is read only after the
+                    // whole miss batch returns, so it also counts the
+                    // compiles and evaluations of the batch's other keys
+                    // queued around this one.
                     let eval_ns = durations.get(&pos).copied().unwrap_or(0);
                     let compile_ns = started.elapsed().as_nanos() as u64;
                     self.stats

@@ -13,6 +13,12 @@
 //!   can therefore cause *multi-stage* timing errors;
 //! * **fast-changing local dynamic** — [`LocalJitter`]: uncorrelated
 //!   across cycles and stages, causing mostly *single-stage* errors.
+//!
+//! [`DelaySource::factor`] is the per-coordinate definition of every
+//! source; [`DelaySource::scale_row`] is the row form the simulators
+//! run, one call per source per cycle. Each source's row form performs
+//! exactly the floating-point operations its `factor` does, so the two
+//! agree bit for bit (DESIGN.md §12.5).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,8 +33,28 @@ pub trait DelaySource {
     /// Derating factor at `cycle` for pipeline `stage`.
     fn factor(&mut self, cycle: u64, stage: usize) -> f64;
 
+    /// Multiplies `row[s]` by this source's factor at `(cycle, s)`, for
+    /// every slot `s` of the row.
+    ///
+    /// The result must equal `row[s] * self.factor(cycle, s)` bit for
+    /// bit; the default does exactly that, stage by stage. Sources
+    /// override it to pay per-cycle work once per row instead of once
+    /// per stage. Cycle-ordering rules are those of `factor`.
+    fn scale_row(&mut self, cycle: u64, row: &mut [f64]) {
+        for (s, slot) in row.iter_mut().enumerate() {
+            *slot *= self.factor(cycle, s);
+        }
+    }
+
     /// Short, human-readable source name (for reports).
     fn name(&self) -> &str;
+}
+
+/// The row form of a stage-invariant source: every slot times `f`.
+fn scale_all(row: &mut [f64], f: f64) {
+    for slot in row {
+        *slot *= f;
+    }
 }
 
 /// Static process variation: a per-stage factor drawn once at
@@ -87,11 +113,37 @@ pub struct VoltageDroop {
     last_event: Option<u64>,
     last_cycle_seen: u64,
     /// Cycle the cached factor was computed for (`u64::MAX` = none).
-    /// The factor is stage-independent, and the simulator queries all
-    /// stages of a cycle back-to-back, so this avoids recomputing the
-    /// ripple sinusoid and recovery exponential per stage.
+    /// The factor is stage-independent, so per-stage `factor` queries
+    /// within a cycle reuse one evaluation.
     cached_cycle: u64,
     cached_factor: f64,
+    /// Ripple term by phase (`cycle % resonance_cycles`): the ripple
+    /// repeats every period, so each phase's sinusoid is evaluated once.
+    /// Filled lazily in phase order, at most [`DROOP_MEMO_CAP`] entries.
+    ripple_memo: Vec<f64>,
+    /// Recovery term by event age (cycles since the latest event
+    /// started): every event decays along the same curve. Filled
+    /// lazily in age order, at most [`DROOP_MEMO_CAP`] entries.
+    recovery_memo: Vec<f64>,
+}
+
+/// Entries each [`VoltageDroop`] memo table may hold (32 KiB of `f64`).
+/// Phases and ages at or past the cap are computed directly.
+const DROOP_MEMO_CAP: u64 = 4096;
+
+/// `table[index]`, first filling the table up to `index` with
+/// `term(0..=index)` when `index` is below `cap`; `term(index)` itself
+/// at or past the cap. Every entry is `term` of its own index, so a
+/// memoized read returns the bits a direct evaluation would.
+fn memoized(table: &mut Vec<f64>, index: u64, cap: u64, term: impl Fn(u64) -> f64) -> f64 {
+    if index >= cap {
+        return term(index);
+    }
+    let i = index as usize;
+    while table.len() <= i {
+        table.push(term(table.len() as u64));
+    }
+    table[i]
 }
 
 impl VoltageDroop {
@@ -123,12 +175,13 @@ impl VoltageDroop {
             last_cycle_seen: 0,
             cached_cycle: u64::MAX,
             cached_factor: 1.0,
+            ripple_memo: Vec::new(),
+            recovery_memo: Vec::new(),
         }
     }
-}
 
-impl DelaySource for VoltageDroop {
-    fn factor(&mut self, cycle: u64, _stage: usize) -> f64 {
+    /// The stage-independent droop factor at `cycle`.
+    fn level(&mut self, cycle: u64) -> f64 {
         if cycle == self.cached_cycle {
             return self.cached_factor;
         }
@@ -144,21 +197,36 @@ impl DelaySource for VoltageDroop {
             let gap = crate::math::exponential(&mut self.rng, 1.0 / self.mean_interval);
             self.next_event += gap.ceil().max(1.0) as u64;
         }
-        let ripple = (self.depth / 4.0)
-            * (std::f64::consts::TAU * (cycle % self.resonance_cycles) as f64
-                / self.resonance_cycles as f64)
-                .sin()
-                .max(0.0);
+        let (depth, period, tau) = (self.depth, self.resonance_cycles, self.recovery_tau);
+        let phase = cycle % period;
+        let ripple = memoized(&mut self.ripple_memo, phase, DROOP_MEMO_CAP, |phase| {
+            (depth / 4.0)
+                * (std::f64::consts::TAU * phase as f64 / period as f64)
+                    .sin()
+                    .max(0.0)
+        });
         let event = match self.last_event {
-            Some(start) => {
-                let age = (cycle - start) as f64;
-                self.depth * (-age / self.recovery_tau).exp()
-            }
+            Some(start) => memoized(
+                &mut self.recovery_memo,
+                cycle - start,
+                DROOP_MEMO_CAP,
+                |age| depth * (-(age as f64) / tau).exp(),
+            ),
             None => 0.0,
         };
         self.cached_cycle = cycle;
         self.cached_factor = 1.0 + ripple + event;
         self.cached_factor
+    }
+}
+
+impl DelaySource for VoltageDroop {
+    fn factor(&mut self, cycle: u64, _stage: usize) -> f64 {
+        self.level(cycle)
+    }
+
+    fn scale_row(&mut self, cycle: u64, row: &mut [f64]) {
+        scale_all(row, self.level(cycle));
     }
 
     fn name(&self) -> &str {
@@ -199,10 +267,9 @@ impl TemperatureDrift {
             cached_factor: 1.0,
         }
     }
-}
 
-impl DelaySource for TemperatureDrift {
-    fn factor(&mut self, cycle: u64, _stage: usize) -> f64 {
+    /// The stage-independent drift factor at `cycle`.
+    fn level(&mut self, cycle: u64) -> f64 {
         if cycle == self.cached_cycle {
             return self.cached_factor;
         }
@@ -212,6 +279,16 @@ impl DelaySource for TemperatureDrift {
         self.cached_cycle = cycle;
         self.cached_factor = 1.0 + self.amplitude * theta.sin().max(0.0);
         self.cached_factor
+    }
+}
+
+impl DelaySource for TemperatureDrift {
+    fn factor(&mut self, cycle: u64, _stage: usize) -> f64 {
+        self.level(cycle)
+    }
+
+    fn scale_row(&mut self, cycle: u64, row: &mut [f64]) {
+        scale_all(row, self.level(cycle));
     }
 
     fn name(&self) -> &str {
@@ -237,11 +314,20 @@ impl Aging {
         assert!(per_decade >= 0.0, "per-decade slope must be non-negative");
         Aging { per_decade }
     }
+
+    /// The stage-independent aging factor at `cycle`.
+    fn level(&self, cycle: u64) -> f64 {
+        1.0 + self.per_decade * (1.0 + cycle as f64).log10()
+    }
 }
 
 impl DelaySource for Aging {
     fn factor(&mut self, cycle: u64, _stage: usize) -> f64 {
-        1.0 + self.per_decade * (1.0 + cycle as f64).log10()
+        self.level(cycle)
+    }
+
+    fn scale_row(&mut self, cycle: u64, row: &mut [f64]) {
+        scale_all(row, self.level(cycle));
     }
 
     fn name(&self) -> &str {
@@ -292,12 +378,21 @@ impl LocalJitter {
         z ^ (z >> 31)
     }
 
+    /// Counter-mode key of stage pair 0 at `cycle`; pair `p`'s key is
+    /// this plus `p` steps of [`LocalJitter::PAIR_STEP`] (wrapping).
+    #[inline]
+    fn cycle_key(&self, cycle: u64) -> u64 {
+        self.seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(cycle.wrapping_mul(0xBF58_476D_1CE4_E5B9))
+    }
+
+    /// Key increment from one stage pair to the next.
+    const PAIR_STEP: u64 = 0x94D0_49BB_1331_11EB;
+
     /// The Box–Muller pair for a (cycle, stage-pair) key.
     #[inline]
-    fn pair_for(&mut self, key: u64) -> (f64, f64) {
-        if key == self.cached_key {
-            return self.cached_pair;
-        }
+    fn draw_pair(key: u64) -> (f64, f64) {
         let mut state = key;
         // Uniforms in (0, 1]: offset by one ulp step so ln never sees 0.
         const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
@@ -305,9 +400,13 @@ impl LocalJitter {
         let u2 = (Self::splitmix(&mut state) >> 11) as f64 * SCALE;
         let r = (-2.0 * u1.ln()).sqrt();
         let (sin, cos) = (std::f64::consts::TAU * u2).sin_cos();
-        self.cached_key = key;
-        self.cached_pair = (r * cos, r * sin);
-        self.cached_pair
+        (r * cos, r * sin)
+    }
+
+    /// The derating factor of one standard-normal draw.
+    #[inline]
+    fn derate(&self, z: f64) -> f64 {
+        (1.0 + self.sigma * z.clamp(-4.0, 4.0)).max(0.5)
     }
 }
 
@@ -317,14 +416,27 @@ impl DelaySource for LocalJitter {
         // pure function of the coordinate regardless of query order.
         let pair = (stage / 2) as u64;
         let key = self
-            .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(cycle.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-            .wrapping_add(pair.wrapping_mul(0x94D0_49BB_1331_11EB));
-        let (z0, z1) = self.pair_for(key);
-        let z = if stage.is_multiple_of(2) { z0 } else { z1 };
-        let z = z.clamp(-4.0, 4.0);
-        (1.0 + self.sigma * z).max(0.5)
+            .cycle_key(cycle)
+            .wrapping_add(pair.wrapping_mul(Self::PAIR_STEP));
+        if key != self.cached_key {
+            self.cached_key = key;
+            self.cached_pair = Self::draw_pair(key);
+        }
+        let (z0, z1) = self.cached_pair;
+        self.derate(if stage.is_multiple_of(2) { z0 } else { z1 })
+    }
+
+    fn scale_row(&mut self, cycle: u64, row: &mut [f64]) {
+        // One transform per stage pair, both draws applied in place.
+        let mut key = self.cycle_key(cycle);
+        for pair in row.chunks_mut(2) {
+            let (z0, z1) = Self::draw_pair(key);
+            pair[0] *= self.derate(z0);
+            if let Some(odd) = pair.get_mut(1) {
+                *odd *= self.derate(z1);
+            }
+            key = key.wrapping_add(Self::PAIR_STEP);
+        }
     }
 
     fn name(&self) -> &str {
@@ -335,19 +447,22 @@ impl DelaySource for LocalJitter {
 /// Product of several [`DelaySource`]s.
 pub struct CompositeVariability {
     sources: Vec<Box<dyn DelaySource + Send>>,
+    /// The row product of the sources, reused across cycles.
+    product_row: Vec<f64>,
 }
 
 impl CompositeVariability {
     /// Creates a composite from boxed sources.
     pub fn new(sources: Vec<Box<dyn DelaySource + Send>>) -> CompositeVariability {
-        CompositeVariability { sources }
+        CompositeVariability {
+            sources,
+            product_row: Vec::new(),
+        }
     }
 
     /// A composite with no sources (always factor 1.0).
     pub fn nominal() -> CompositeVariability {
-        CompositeVariability {
-            sources: Vec::new(),
-        }
+        CompositeVariability::new(Vec::new())
     }
 
     /// Names of the composed sources.
@@ -370,6 +485,20 @@ impl DelaySource for CompositeVariability {
             .iter_mut()
             .map(|s| s.factor(cycle, stage))
             .product()
+    }
+
+    fn scale_row(&mut self, cycle: u64, row: &mut [f64]) {
+        // `product` is `fold(1.0, |a, b| a * b)`: a row of 1.0s scaled
+        // by each source in order repeats those multiplications exactly,
+        // and one final multiply applies the product to the caller's row.
+        self.product_row.clear();
+        self.product_row.resize(row.len(), 1.0);
+        for source in &mut self.sources {
+            source.scale_row(cycle, &mut self.product_row);
+        }
+        for (slot, f) in row.iter_mut().zip(&self.product_row) {
+            *slot *= f;
+        }
     }
 
     fn name(&self) -> &str {
@@ -517,6 +646,54 @@ mod tests {
         let mut d = VoltageDroop::new(0.08, 500, 200.0, 9);
         for c in 0..5_000u64 {
             assert!(d.factor(c, 0) >= 1.0 - 1e-12);
+        }
+    }
+
+    #[test]
+    fn droop_memo_matches_direct_evaluation() {
+        // Short and long ripple periods (the latter past the memo cap),
+        // dense and sparse events (the latter aging past the cap).
+        for (period, interval) in [(48, 60.0), (500, 2000.0), (1_000_000, 12_000.0)] {
+            let mut d = VoltageDroop::new(0.2, period, interval, 5);
+            let mut oldest = 0;
+            for c in 0..40_000u64 {
+                let got = d.level(c);
+                let ripple = (d.depth / 4.0)
+                    * (std::f64::consts::TAU * (c % period) as f64 / period as f64)
+                        .sin()
+                        .max(0.0);
+                let event = d.last_event.map_or(0.0, |start| {
+                    oldest = oldest.max(c - start);
+                    d.depth * (-((c - start) as f64) / d.recovery_tau).exp()
+                });
+                assert_eq!(got.to_bits(), (1.0 + ripple + event).to_bits(), "cycle {c}");
+            }
+            assert!(d.ripple_memo.len() as u64 <= DROOP_MEMO_CAP.min(period));
+            assert!(d.recovery_memo.len() as u64 <= DROOP_MEMO_CAP);
+            if interval > 10_000.0 {
+                assert!(oldest > DROOP_MEMO_CAP, "walk never aged past the cap");
+            }
+        }
+    }
+
+    #[test]
+    fn nested_composite_rows_scale_by_the_exact_product() {
+        let build = || {
+            let inner = VariabilityBuilder::new(3)
+                .voltage_droop(0.1, 40, 50.0)
+                .local_jitter(0.03)
+                .build();
+            CompositeVariability::new(vec![Box::new(Aging::new(0.01)), Box::new(inner)])
+        };
+        let (mut rows, mut stages) = (build(), build());
+        for c in 0..500u64 {
+            let init: Vec<f64> = (0..5).map(|s| 0.75 + 0.1 * s as f64).collect();
+            let mut row = init.clone();
+            rows.scale_row(c, &mut row);
+            for (s, (&got, &base)) in row.iter().zip(&init).enumerate() {
+                let want = base * stages.factor(c, s);
+                assert_eq!(got.to_bits(), want.to_bits(), "cycle {c} stage {s}");
+            }
         }
     }
 

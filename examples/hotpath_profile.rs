@@ -1,7 +1,9 @@
 //! Scratch profiling harness: times the hot-path components of one
 //! claims-style trial in isolation so optimisation work targets the
-//! real cost centres. Run with `cargo run --release --example
-//! hotpath_profile`.
+//! real cost centres. The variability rows time both forms of every
+//! source: `factor` once per stage (the per-coordinate definition) and
+//! `scale_row` once per cycle (what the simulator runs). Run with
+//! `cargo run --release --example hotpath_profile`.
 
 use std::time::Instant;
 
@@ -16,6 +18,17 @@ const PERIOD: Picos = Picos(1000);
 
 fn main() {
     let mk_sens = || SensitizationModel::uniform(STAGES, Picos(970), 0x5EED);
+    let droop = || {
+        VariabilityBuilder::new(42)
+            .voltage_droop(0.05, 500, 2000.0)
+            .build()
+    };
+    let temp = || {
+        VariabilityBuilder::new(42)
+            .temperature(0.01, 1_000_000)
+            .build()
+    };
+    let jitter = || VariabilityBuilder::new(42).local_jitter(0.005).build();
     let mk_var = || {
         VariabilityBuilder::new(42)
             .voltage_droop(0.05, 500, 2000.0)
@@ -57,56 +70,16 @@ fn main() {
         acc.as_ps()
     );
 
-    // (c) variability only
-    let mut var = mk_var();
-    let t = Instant::now();
-    let mut facc = 0.0f64;
-    for c in 0..CYCLES {
-        for s in 0..STAGES {
-            facc += var.factor(c, s);
-        }
-    }
-    let tc = t.elapsed().as_secs_f64();
-    println!(
-        "var only:       {:.3}s  ({:.0} cycles/s) acc={:.2}",
-        tc,
-        CYCLES as f64 / tc,
-        facc
-    );
+    // (c) variability only, per stage and per row
+    time_variability("var only", &mut mk_var(), &mut mk_var());
 
     // (c2) individual sources
-    for (name, mut src) in [
-        (
-            "droop",
-            VariabilityBuilder::new(42)
-                .voltage_droop(0.05, 500, 2000.0)
-                .build(),
-        ),
-        (
-            "temp",
-            VariabilityBuilder::new(42)
-                .temperature(0.01, 1_000_000)
-                .build(),
-        ),
-        (
-            "jitter",
-            VariabilityBuilder::new(42).local_jitter(0.005).build(),
-        ),
+    for (name, mut src, mut row_src) in [
+        ("var droop", droop(), droop()),
+        ("var temp", temp(), temp()),
+        ("var jitter", jitter(), jitter()),
     ] {
-        let t = Instant::now();
-        let mut facc = 0.0f64;
-        for c in 0..CYCLES {
-            for s in 0..STAGES {
-                facc += src.factor(c, s);
-            }
-        }
-        let tcc = t.elapsed().as_secs_f64();
-        println!(
-            "var {name:<10} {:.3}s  ({:.0} cycles/s) acc={:.2}",
-            tcc,
-            CYCLES as f64 / tcc,
-            facc
-        );
+        time_variability(name, &mut src, &mut row_src);
     }
 
     // (d) scheme only, fixed arrivals
@@ -133,5 +106,45 @@ fn main() {
         td,
         CYCLES as f64 / td,
         ok
+    );
+}
+
+/// Times one environment both ways over the same cycles: `factor` per
+/// stage on `per_stage`, then `scale_row` per cycle on `per_row` (two
+/// identical instances, since droop advances its event stream). Both
+/// sums add the same factors in the same order, so the two `acc`
+/// columns print identically.
+fn time_variability(label: &str, per_stage: &mut dyn DelaySource, per_row: &mut dyn DelaySource) {
+    let t = Instant::now();
+    let mut facc = 0.0f64;
+    for c in 0..CYCLES {
+        for s in 0..STAGES {
+            facc += per_stage.factor(c, s);
+        }
+    }
+    let tf = t.elapsed().as_secs_f64();
+    println!(
+        "{label:<15} factor    {:.3}s  ({:.0} cycles/s) acc={:.2}",
+        tf,
+        CYCLES as f64 / tf,
+        facc
+    );
+
+    let mut row = [1.0f64; STAGES];
+    let t = Instant::now();
+    let mut racc = 0.0f64;
+    for c in 0..CYCLES {
+        row.fill(1.0);
+        per_row.scale_row(c, &mut row);
+        for f in row {
+            racc += f;
+        }
+    }
+    let tr = t.elapsed().as_secs_f64();
+    println!(
+        "{label:<15} scale_row {:.3}s  ({:.0} cycles/s) acc={:.2}",
+        tr,
+        CYCLES as f64 / tr,
+        racc
     );
 }

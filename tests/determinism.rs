@@ -186,3 +186,42 @@ fn waveform_demos_are_deterministic() {
     let rb = b.sim.waves().trace(b.err2).unwrap().samples().to_vec();
     assert_eq!(ra, rb);
 }
+
+/// Digest of every serve response body over 7 designs × 8 schemes ×
+/// 4 stresses (nominal plus the three storms), at 2 trials × 1200
+/// cycles so both droop ripple periods in play (48 and 500 cycles)
+/// wrap more than once. Pinned: any change to the delay environment,
+/// the simulator or the body format that moves a single bit of any
+/// response changes this digest.
+#[test]
+fn serve_evaluate_bodies_match_the_pinned_digest() {
+    use timber_repro::schemes::SchemeId;
+    use timber_resilience::StormScenario;
+    use timber_serve::{compile, content_hash, evaluate, DesignId, EvalSpec};
+
+    let stresses = [None]
+        .into_iter()
+        .chain(StormScenario::ALL.into_iter().map(Some));
+    let mut bodies = String::new();
+    for design in DesignId::EVALUABLE {
+        let compiled = compile(&EvalSpec::defaults(design));
+        for scheme in SchemeId::ALL {
+            for storm in stresses.clone() {
+                let spec = EvalSpec {
+                    scheme,
+                    storm,
+                    trials: 2,
+                    cycles: 1200,
+                    ..EvalSpec::defaults(design)
+                };
+                bodies.push_str(&evaluate(&compiled, &spec));
+                bodies.push('\n');
+            }
+        }
+    }
+    assert_eq!(
+        content_hash(bodies.as_bytes()).hex(),
+        "adaa7e2757bf31bea16fa659b6b263ff421f7956139725b136264797f41e8bb3",
+        "serve response bodies moved"
+    );
+}
