@@ -112,6 +112,12 @@ impl SequentialScheme for TimberFfScheme {
         self.pending_select.iter_mut().for_each(|s| *s = 0);
         self.last_cycle = None;
     }
+
+    /// An on-time capture resets the flop's select and relays 0, which
+    /// leaves the pending downstream select as it was.
+    fn on_time_limit(&self, period: Picos) -> Option<Picos> {
+        Some(period)
+    }
 }
 
 /// TIMBER flip-flop scheme for a **DAG** pipeline topology
@@ -174,10 +180,9 @@ impl TimberDagScheme {
         self.last_cycle = Some(cycle);
         // Consolidate last cycle's select outputs over each boundary's
         // fanin set, then clear the outputs for this cycle.
-        for b in 0..self.flops.len() {
-            let outs: Vec<u8> = self.preds[b].iter().map(|&p| self.outputs[p]).collect();
-            let sel = self.relay.consolidate(&outs);
-            self.flops[b].set_select(sel);
+        for (flop, preds) in self.flops.iter_mut().zip(&self.preds) {
+            let widest = preds.iter().map(|&p| self.outputs[p]).max().unwrap_or(0);
+            flop.set_select(self.relay.consolidate(&[widest]));
         }
         self.outputs.iter_mut().for_each(|o| *o = 0);
     }
@@ -261,6 +266,10 @@ impl SequentialScheme for TimberLatchScheme {
         for l in &mut self.latches {
             *l = TimberLatch::new(self.schedule);
         }
+    }
+
+    fn on_time_limit(&self, period: Picos) -> Option<Picos> {
+        Some(period)
     }
 }
 

@@ -42,6 +42,10 @@ impl SequentialScheme for MarginedFlop {
     }
 
     fn reset(&mut self) {}
+
+    fn on_time_limit(&self, period: Picos) -> Option<Picos> {
+        Some(period)
+    }
 }
 
 #[cfg(test)]

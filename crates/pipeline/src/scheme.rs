@@ -121,6 +121,20 @@ pub trait SequentialScheme {
         let _ = nominal_period;
         Picos::ZERO
     }
+
+    /// The latest arrival the scheme certainly treats as on time in a
+    /// cycle clocked at `period`. `Some(limit)` promises, for every
+    /// `arrival <= limit` and whatever the incoming borrow, that
+    /// [`evaluate`](SequentialScheme::evaluate) returns
+    /// [`StageOutcome::Ok`] and leaves the scheme in the same state as
+    /// any other such arrival would. The simulator then need not know
+    /// such an arrival exactly, and skips the delay draws that would
+    /// pin it down (DESIGN.md §12.6). Defaults to `None`: every arrival
+    /// is computed exactly.
+    fn on_time_limit(&self, period: Picos) -> Option<Picos> {
+        let _ = period;
+        None
+    }
 }
 
 #[cfg(test)]

@@ -123,23 +123,51 @@ enum DelaySupply<'a> {
 }
 
 impl DelaySupply<'_> {
-    /// Fills one cycle's delay row. In environment mode the variability
-    /// model fills `factors` with one [`DelaySource::scale_row`] call,
-    /// then each stage's sensitized base delay (sampled in ascending
-    /// stage order, as before) is scaled by its slot. The sensitization
-    /// stream and the variability sources share no state, so the
-    /// delays are bit-identical to sampling and deriving stage by stage.
-    fn fill_row(&mut self, cycle: u64, row: &mut [Picos], factors: &mut [f64]) {
+    /// Fills one cycle's delay row against the cycle's on-time `limit`
+    /// (see [`SequentialScheme::on_time_limit`]).
+    ///
+    /// In environment mode the variability model fills `factors` with
+    /// one [`DelaySource::bound_row`] call, which may leave an upper
+    /// bound in a slot instead of the exact factor. Each stage's
+    /// sensitized base delay (sampled in ascending stage order, as
+    /// before) is scaled by its slot; `Picos::scale` of a positive base
+    /// is monotone in the factor, so the result bounds the exact delay.
+    /// A stage whose bounded arrival `carry[s] + delay` is still within
+    /// `limit` is on time whatever its exact delay, and keeps the
+    /// bound. Every other stage settles its exact factor. Without a
+    /// limit the row is filled exactly by `scale_row`. The
+    /// sensitization stream and the variability sources share no
+    /// state, and deferred draws are counter-mode, so every delay the
+    /// scheme can observe is bit-identical to sampling and deriving
+    /// stage by stage (DESIGN.md §12.6).
+    fn fill_row(
+        &mut self,
+        cycle: u64,
+        row: &mut [Picos],
+        factors: &mut [f64],
+        carry: &[Picos],
+        limit: Option<Picos>,
+    ) {
         match self {
             DelaySupply::Environment {
                 sensitization,
                 variability,
             } => {
                 factors.fill(1.0);
-                variability.scale_row(cycle, factors);
+                // `Some(limit)` only when the row holds bounds to settle.
+                let settle_past = match limit {
+                    Some(limit) => variability.bound_row(cycle, factors).then_some(limit),
+                    None => {
+                        variability.scale_row(cycle, factors);
+                        None
+                    }
+                };
                 for (s, (slot, &factor)) in row.iter_mut().zip(factors.iter()).enumerate() {
                     let (base, _class) = sensitization.sample(s);
                     *slot = base.scale(factor);
+                    if settle_past.is_some_and(|limit| carry[s] + *slot > limit) {
+                        *slot = base.scale(variability.settle(s));
+                    }
                 }
             }
             DelaySupply::Planned(rows) => rows.fill_row(cycle, row),
@@ -176,7 +204,8 @@ struct StageSoa {
     next_chain: Vec<usize>,
     /// Per-stage combinational delay row, filled once per cycle.
     delay_row: Vec<Picos>,
-    /// Per-stage variability factor row the environment supply fills
+    /// Per-stage variability factor row (exact, or an upper bound on
+    /// stages that need no exact delay) the environment supply fills
     /// once per cycle (unused by planned supplies).
     factor_row: Vec<f64>,
     /// Per-stage arrival row (`carry + delay`), built in one pass.
@@ -531,8 +560,13 @@ impl<'a, S: TelemetrySink> PipelineSim<'a, S> {
             };
             // Row-based cycle step: sample the whole delay row, build
             // the arrival row in one pass, then classify outcomes.
-            self.supply
-                .fill_row(t, &mut self.soa.delay_row, &mut self.soa.factor_row);
+            self.supply.fill_row(
+                t,
+                &mut self.soa.delay_row,
+                &mut self.soa.factor_row,
+                &self.soa.carry,
+                self.scheme.on_time_limit(period),
+            );
             self.soa.begin_cycle();
 
             for s in 0..self.config.stages {

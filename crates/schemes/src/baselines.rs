@@ -111,6 +111,12 @@ impl SequentialScheme for RazorFf {
     }
 
     fn reset(&mut self) {}
+
+    /// Clear of the metastability aperture (`period ± meta_window/2`,
+    /// empty when the window is 0 or 1 ps) and before the edge.
+    fn on_time_limit(&self, period: Picos) -> Option<Picos> {
+        Some(period - self.meta_window / 2)
+    }
 }
 
 /// Transition-detector flip-flop (TDTB-style, Bowman DAC 2009 /
@@ -159,6 +165,10 @@ impl SequentialScheme for TransitionDetectorFf {
     }
 
     fn reset(&mut self) {}
+
+    fn on_time_limit(&self, period: Picos) -> Option<Picos> {
+        Some(period)
+    }
 }
 
 /// Canary flip-flop error *prediction* (Sato, ISQED 2007): a canary
@@ -213,6 +223,11 @@ impl SequentialScheme for CanaryFf {
 
     fn reset(&mut self) {}
 
+    /// Clear of the guard band: later arrivals are predicted.
+    fn on_time_limit(&self, period: Picos) -> Option<Picos> {
+        Some(period - self.guard)
+    }
+
     fn guard_band(&self, _nominal_period: Picos) -> Picos {
         self.guard
     }
@@ -265,6 +280,10 @@ impl SequentialScheme for SoftEdgeFf {
     }
 
     fn reset(&mut self) {}
+
+    fn on_time_limit(&self, period: Picos) -> Option<Picos> {
+        Some(period)
+    }
 }
 
 /// Logical error masking with redundant logic (Choudhury & Mohanram,
@@ -328,6 +347,12 @@ impl SequentialScheme for LogicalMasking {
     }
 
     fn reset(&mut self) {}
+
+    /// The coverage draw happens only past the edge, so an on-time
+    /// arrival leaves the RNG stream where it was.
+    fn on_time_limit(&self, period: Picos) -> Option<Picos> {
+        Some(period)
+    }
 }
 
 #[cfg(test)]

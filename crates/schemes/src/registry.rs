@@ -173,6 +173,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use timber_pipeline::{CycleContext, StageOutcome};
 
     fn sched() -> CheckingPeriod {
         CheckingPeriod::new(Picos(1000), 24.0, 1, 2).unwrap()
@@ -209,6 +210,107 @@ mod tests {
     fn masking_and_detection_partitions_are_disjoint() {
         for id in SchemeId::ALL {
             assert!(!(id.is_masking() && id.is_detection()), "{id:?}");
+        }
+    }
+
+    /// Builds a fresh scheme instance.
+    type Factory = Box<dyn Fn() -> Box<dyn SequentialScheme>>;
+
+    /// Every registry scheme at `period`, plus Razor with each
+    /// metastability window, as fresh-instance factories.
+    fn on_time_cases(period: i64) -> Vec<(String, Factory)> {
+        let schedule = CheckingPeriod::new(Picos(period), 24.0, 1, 2).unwrap();
+        let reg = Registry::new(schedule, 3);
+        let mut cases: Vec<(String, Factory)> = SchemeId::ALL
+            .into_iter()
+            .map(|id| {
+                let build: Factory = Box::new(move || reg.build(id, 11));
+                (id.name().to_owned(), build)
+            })
+            .collect();
+        for meta in [0, 1, 40] {
+            let window = reg.window();
+            cases.push((
+                format!("razor-ff meta {meta}"),
+                Box::new(move || Box::new(RazorFf::new(window).with_metastability(Picos(meta), 4))),
+            ));
+        }
+        cases
+    }
+
+    /// Runs the contract's three cycles on a fresh scheme: cycle 0
+    /// overruns every stage by 1 ps (so a TIMBER flop relays a select
+    /// into cycle 1), cycle 1 feeds `arrival` with `borrow` to `stage`
+    /// and 0 elsewhere, and cycles 2.. probe the state left behind with
+    /// fixed arrivals around the edge. Returns the probed stage's
+    /// outcome and every probe outcome.
+    fn on_time_trial(
+        scheme: &mut dyn SequentialScheme,
+        period: i64,
+        stage: usize,
+        arrival: Picos,
+        borrow: Picos,
+    ) -> (StageOutcome, Vec<StageOutcome>) {
+        let ctx = |cycle| CycleContext {
+            cycle,
+            period: Picos(period),
+            nominal_period: Picos(period),
+        };
+        for s in 0..3 {
+            let _ = scheme.evaluate(s, Picos(period + 1), Picos::ZERO, &ctx(0));
+        }
+        let mut probed = StageOutcome::Ok;
+        for s in 0..3 {
+            let (a, b) = if s == stage {
+                (arrival, borrow)
+            } else {
+                (Picos::ZERO, Picos::ZERO)
+            };
+            let out = scheme.evaluate(s, a, b, &ctx(1));
+            if s == stage {
+                probed = out;
+            }
+        }
+        let mut probes = Vec::new();
+        for cycle in 2..10u64 {
+            for s in 0..3 {
+                let step = (cycle as i64 * 3 + s as i64) % 7;
+                let a = Picos(period - 30 + step * (period / 40 + 5));
+                probes.push(scheme.evaluate(s, a, Picos::ZERO, &ctx(cycle)));
+            }
+        }
+        (probed, probes)
+    }
+
+    /// The on-time contract the simulator's skipped jitter draws rest
+    /// on, checked exhaustively: every arrival up to the limit is `Ok`
+    /// with or without an incoming borrow, leaves the same state as a
+    /// zero arrival (the probe cycles see identical outcomes, including
+    /// logical masking's coverage draws), and the limit is tight.
+    #[test]
+    fn every_scheme_keeps_its_on_time_contract() {
+        for period in [97, 1000, 1003] {
+            for (name, build) in on_time_cases(period) {
+                let limit = build()
+                    .on_time_limit(Picos(period))
+                    .unwrap_or_else(|| panic!("{name} has no on-time limit"))
+                    .as_ps();
+                let trial = |stage, arrival, borrow| {
+                    on_time_trial(build().as_mut(), period, stage, Picos(arrival), borrow)
+                };
+                let borrows = [Picos::ZERO, Picos(period / 10 + 1)];
+                for (stage, borrow) in (0..3).flat_map(|s| borrows.map(|b| (s, b))) {
+                    let (_, want) = trial(stage, 0, borrow);
+                    for arrival in 0..=limit {
+                        let (out, probes) = trial(stage, arrival, borrow);
+                        let at = (&name, period, stage, arrival);
+                        assert_eq!(out, StageOutcome::Ok, "{at:?}");
+                        assert_eq!(probes, want, "{at:?}: state moved");
+                    }
+                    let (out, _) = trial(stage, limit + 1, borrow);
+                    assert_ne!(out, StageOutcome::Ok, "{name} at {period} ps: loose limit");
+                }
+            }
         }
     }
 

@@ -18,7 +18,10 @@
 //! source; [`DelaySource::scale_row`] is the row form the simulators
 //! run, one call per source per cycle. Each source's row form performs
 //! exactly the floating-point operations its `factor` does, so the two
-//! agree bit for bit (DESIGN.md §12.5).
+//! agree bit for bit (DESIGN.md §12.5). [`DelaySource::bound_row`] is
+//! the bounded row form: a composite multiplies in [`LocalJitter`]'s
+//! clip instead of drawing it, and [`DelaySource::settle`] draws it for
+//! the stages a caller needs exactly (DESIGN.md §12.6).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -44,6 +47,44 @@ pub trait DelaySource {
         for (s, slot) in row.iter_mut().enumerate() {
             *slot *= self.factor(cycle, s);
         }
+    }
+
+    /// Multiplies `row[s]` by an upper bound of this source's factor at
+    /// `(cycle, s)`, and returns whether that bound may be loose.
+    ///
+    /// `false` means the row is exact, as [`DelaySource::scale_row`]
+    /// leaves it; the default does exactly that. `true` means some
+    /// slots hold a bound instead, and [`DelaySource::settle`] yields
+    /// the exact factor of any stage on demand. Sources whose factors
+    /// are expensive draw them only for the stages a caller settles.
+    /// Cycle-ordering rules are those of `factor`.
+    fn bound_row(&mut self, cycle: u64, row: &mut [f64]) -> bool {
+        self.scale_row(cycle, row);
+        false
+    }
+
+    /// The exact factor of `stage` at the cycle of the last
+    /// [`DelaySource::bound_row`] that returned `true`: bit for bit the
+    /// value `scale_row` would have multiplied that slot by.
+    ///
+    /// # Panics
+    ///
+    /// The default panics: it belongs to the default `bound_row`,
+    /// which is always exact, so there is nothing to settle.
+    fn settle(&mut self, stage: usize) -> f64 {
+        let _ = stage;
+        unreachable!("settle follows a bound_row that returned true")
+    }
+
+    /// The largest factor this source ever returns, when the source
+    /// would rather be bounded than evaluated. `Some` also promises
+    /// that `factor` is a pure function of `(cycle, stage)` that may
+    /// be queried for any subset of a cycle's stages, so skipping a
+    /// stage changes no other value. A [`CompositeVariability`] defers
+    /// such sources: its `bound_row` uses this maximum, and its
+    /// `settle` calls `factor`. Defaults to `None` (never deferred).
+    fn deferred_max(&self) -> Option<f64> {
+        None
     }
 
     /// Short, human-readable source name (for reports).
@@ -350,6 +391,8 @@ pub struct LocalJitter {
     /// pair. The two draws of a pair are exactly independent, so the
     /// per-coordinate statistics are unchanged.
     cached_pair: (f64, f64),
+    /// Cycle of the last `bound_row`, which `settle` reads.
+    bound_cycle: u64,
 }
 
 impl LocalJitter {
@@ -365,6 +408,7 @@ impl LocalJitter {
             seed,
             cached_key: u64::MAX,
             cached_pair: (0.0, 0.0),
+            bound_cycle: 0,
         }
     }
 
@@ -439,24 +483,71 @@ impl DelaySource for LocalJitter {
         }
     }
 
+    fn bound_row(&mut self, cycle: u64, row: &mut [f64]) -> bool {
+        scale_all(row, self.derate(4.0));
+        self.bound_cycle = cycle;
+        true
+    }
+
+    fn settle(&mut self, stage: usize) -> f64 {
+        self.factor(self.bound_cycle, stage)
+    }
+
+    /// `derate(4.0)`: the clamp, the multiply by `sigma ≥ 0`, the add
+    /// and the `max` are each monotone, so no draw derates further.
+    fn deferred_max(&self) -> Option<f64> {
+        Some(self.derate(4.0))
+    }
+
     fn name(&self) -> &str {
         "local-jitter"
     }
 }
 
 /// Product of several [`DelaySource`]s.
+///
+/// Sources with a [`DelaySource::deferred_max`] are *deferred*: its
+/// [`DelaySource::bound_row`] multiplies in their maximum instead of
+/// evaluating them, and [`DelaySource::settle`] evaluates them for one
+/// stage on demand. Rounded multiplication by a positive factor is
+/// monotone, so with positive factors (every source here) the bounded
+/// product covers the exact one (DESIGN.md §12.6).
 pub struct CompositeVariability {
     sources: Vec<Box<dyn DelaySource + Send>>,
-    /// The row product of the sources, reused across cycles.
+    /// Each source's `deferred_max`, read once at construction.
+    deferred: Vec<Option<f64>>,
+    /// Index of the first deferred source (`sources.len()` if none).
+    first_deferred: usize,
+    /// The row product of the sources, reused across cycles. After a
+    /// bounded row it holds the exact product of the sources before
+    /// the first deferred one.
     product_row: Vec<f64>,
+    /// After a bounded row: one row per source from the first deferred
+    /// one on (source-major), holding that source's factors (unused
+    /// for a deferred source).
+    tail_rows: Vec<f64>,
+    /// The bounded product row, built before it scales the caller's.
+    bound_row: Vec<f64>,
+    /// Cycle of the last bounded row, which `settle` evaluates.
+    bound_cycle: u64,
 }
 
 impl CompositeVariability {
     /// Creates a composite from boxed sources.
     pub fn new(sources: Vec<Box<dyn DelaySource + Send>>) -> CompositeVariability {
+        let deferred: Vec<Option<f64>> = sources.iter().map(|s| s.deferred_max()).collect();
+        let first_deferred = deferred
+            .iter()
+            .position(Option::is_some)
+            .unwrap_or(sources.len());
         CompositeVariability {
             sources,
+            deferred,
+            first_deferred,
             product_row: Vec::new(),
+            tail_rows: Vec::new(),
+            bound_row: Vec::new(),
+            bound_cycle: 0,
         }
     }
 
@@ -499,6 +590,64 @@ impl DelaySource for CompositeVariability {
         for (slot, f) in row.iter_mut().zip(&self.product_row) {
             *slot *= f;
         }
+    }
+
+    fn bound_row(&mut self, cycle: u64, row: &mut [f64]) -> bool {
+        let first = self.first_deferred;
+        if first == self.sources.len() {
+            self.scale_row(cycle, row);
+            return false;
+        }
+        // Every non-deferred source runs exactly once per cycle, as in
+        // `scale_row`, so stream-stateful sources (droop) see the same
+        // call sequence. The prefix folds into `product_row`; each
+        // non-deferred source after the first deferred one keeps its
+        // own row so `settle` can replay the product in source order.
+        let n = row.len();
+        self.product_row.clear();
+        self.product_row.resize(n, 1.0);
+        for source in &mut self.sources[..first] {
+            source.scale_row(cycle, &mut self.product_row);
+        }
+        self.tail_rows.clear();
+        self.tail_rows.resize(n * (self.sources.len() - first), 1.0);
+        self.bound_row.clone_from(&self.product_row);
+        // Products of positive factors are monotone in each factor, so
+        // swapping a deferred factor for its maximum bounds the slot.
+        let tail = self.sources[first..]
+            .iter_mut()
+            .zip(&self.deferred[first..]);
+        for ((source, max), factors) in tail.zip(self.tail_rows.chunks_exact_mut(n)) {
+            match *max {
+                Some(max) => scale_all(&mut self.bound_row, max),
+                None => {
+                    source.scale_row(cycle, factors);
+                    for (bound, f) in self.bound_row.iter_mut().zip(factors.iter()) {
+                        *bound *= f;
+                    }
+                }
+            }
+        }
+        for (slot, bound) in row.iter_mut().zip(&self.bound_row) {
+            *slot *= bound;
+        }
+        self.bound_cycle = cycle;
+        true
+    }
+
+    fn settle(&mut self, stage: usize) -> f64 {
+        // `1.0 × f₁ × f₂ × …` in source order: the prefix product, then
+        // each later source's factor, evaluated now if it was deferred.
+        let first = self.first_deferred;
+        let n = self.product_row.len();
+        let mut product = self.product_row[stage];
+        for (j, source) in self.sources[first..].iter_mut().enumerate() {
+            product *= match self.deferred[first + j] {
+                Some(_) => source.factor(self.bound_cycle, stage),
+                None => self.tail_rows[j * n + stage],
+            };
+        }
+        product
     }
 
     fn name(&self) -> &str {
@@ -694,6 +843,91 @@ mod tests {
                 let want = base * stages.factor(c, s);
                 assert_eq!(got.to_bits(), want.to_bits(), "cycle {c} stage {s}");
             }
+        }
+    }
+
+    #[test]
+    fn bounded_rows_settle_to_the_exact_row() {
+        // Jitter first, between and last; a second jitter source; a
+        // composite with no deferred source; and jitter alone.
+        let builds: [fn() -> Box<dyn DelaySource>; 6] = [
+            || {
+                Box::new(
+                    VariabilityBuilder::new(3)
+                        .local_jitter(0.05)
+                        .process(5, 0.03)
+                        .build(),
+                )
+            },
+            || {
+                Box::new(
+                    VariabilityBuilder::new(4)
+                        .voltage_droop(0.2, 48, 60.0)
+                        .local_jitter(0.01)
+                        .aging(0.02)
+                        .build(),
+                )
+            },
+            || {
+                Box::new(
+                    VariabilityBuilder::new(5)
+                        .local_jitter(0.02)
+                        .voltage_droop(0.1, 40, 50.0)
+                        .local_jitter(0.03)
+                        .process(5, 0.05)
+                        .build(),
+                )
+            },
+            || {
+                Box::new(
+                    VariabilityBuilder::new(6)
+                        .aging(0.06)
+                        .voltage_droop(0.08, 500, 400.0)
+                        .build(),
+                )
+            },
+            || Box::new(LocalJitter::new(0.04, 8)),
+            || {
+                Box::new(
+                    VariabilityBuilder::new(7)
+                        .voltage_droop(0.05, 500, 2000.0)
+                        .local_jitter(0.005)
+                        .build(),
+                )
+            },
+        ];
+        for (i, build) in builds.iter().enumerate() {
+            let (mut exact, mut lazy) = (build(), build());
+            for c in 0..800u64 {
+                let mut want = [1.0f64; 5];
+                exact.scale_row(c, &mut want);
+                let mut bound = [1.0f64; 5];
+                let bounded = lazy.bound_row(c, &mut bound);
+                // Settle a cycle-dependent subset, in either order.
+                let mut stages: Vec<usize> = (0..5).filter(|s| (c >> s) & 1 == 1).collect();
+                if c % 3 == 0 {
+                    stages.reverse();
+                }
+                for s in stages {
+                    let got = if bounded { lazy.settle(s) } else { bound[s] };
+                    assert_eq!(got.to_bits(), want[s].to_bits(), "build {i} cycle {c} {s}");
+                }
+                for (b, w) in bound.iter().zip(&want) {
+                    assert!(b >= w, "build {i} cycle {c}: bound {b} < exact {w}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn jitter_bound_is_the_clip_and_only_jitter_defers() {
+        let j = LocalJitter::new(0.05, 1);
+        assert_eq!(j.deferred_max(), Some(1.2));
+        assert_eq!(Aging::new(0.01).deferred_max(), None);
+        assert_eq!(CompositeVariability::nominal().deferred_max(), None);
+        // The clip holds the bound for any draw, however extreme.
+        for z in [-1e9, -4.0, 0.0, 3.99, 4.0, 4.01, 1e9] {
+            assert!(j.derate(z) <= 1.2, "z = {z}");
         }
     }
 

@@ -188,13 +188,8 @@ fn waveform_demos_are_deterministic() {
 }
 
 /// Digest of every serve response body over 7 designs × 8 schemes ×
-/// 4 stresses (nominal plus the three storms), at 2 trials × 1200
-/// cycles so both droop ripple periods in play (48 and 500 cycles)
-/// wrap more than once. Pinned: any change to the delay environment,
-/// the simulator or the body format that moves a single bit of any
-/// response changes this digest.
-#[test]
-fn serve_evaluate_bodies_match_the_pinned_digest() {
+/// 4 stresses (nominal plus the three storms) at `trials` × `cycles`.
+fn serve_bodies_digest(trials: usize, cycles: u64) -> String {
     use timber_repro::schemes::SchemeId;
     use timber_resilience::StormScenario;
     use timber_serve::{compile, content_hash, evaluate, DesignId, EvalSpec};
@@ -210,8 +205,8 @@ fn serve_evaluate_bodies_match_the_pinned_digest() {
                 let spec = EvalSpec {
                     scheme,
                     storm,
-                    trials: 2,
-                    cycles: 1200,
+                    trials,
+                    cycles,
                     ..EvalSpec::defaults(design)
                 };
                 bodies.push_str(&evaluate(&compiled, &spec));
@@ -219,9 +214,33 @@ fn serve_evaluate_bodies_match_the_pinned_digest() {
             }
         }
     }
+    content_hash(bodies.as_bytes()).hex()
+}
+
+/// The 224 bodies at 2 trials × 1200 cycles, so both droop ripple
+/// periods in play (48 and 500 cycles) wrap more than once. Pinned: any
+/// change to the delay environment, the simulator or the body format
+/// that moves a single bit of any response changes this digest.
+#[test]
+fn serve_evaluate_bodies_match_the_pinned_digest() {
     assert_eq!(
-        content_hash(bodies.as_bytes()).hex(),
+        serve_bodies_digest(2, 1200),
         "adaa7e2757bf31bea16fa659b6b263ff421f7956139725b136264797f41e8bb3",
         "serve response bodies moved"
+    );
+}
+
+/// The same 224 bodies shaped like perfbench's `trials-heavy` requests
+/// (64 trials × 2000 cycles): about 10⁸ stage evaluations, nearly all
+/// of them on-time stages whose jitter draw the simulator skips. Takes
+/// seconds in release builds, so it is ignored by default; CI runs it
+/// with `cargo test --release --test determinism -- --ignored`.
+#[test]
+#[ignore = "release-mode workload; run with --ignored"]
+fn trials_heavy_bodies_match_the_pinned_digest() {
+    assert_eq!(
+        serve_bodies_digest(64, 2000),
+        "312122adbf83700515156e526df5817ca20316246e7f4e6ee3d1924ffbbf79a2",
+        "trials-heavy-shaped response bodies moved"
     );
 }

@@ -217,3 +217,93 @@ proptest! {
         }
     }
 }
+
+/// The eager delay fill the environment supply ran before on-time
+/// stages skipped their jitter draws: the whole exact factor row from
+/// `scale_row`, then every stage's sensitized base delay scaled by its
+/// slot. Replayed through `PipelineSim::planned`, it is the reference
+/// the lazy environment path must match.
+struct EagerRows {
+    sensitization: timber_repro::variability::SensitizationModel,
+    variability: timber_repro::variability::CompositeVariability,
+    factors: Vec<f64>,
+}
+
+impl timber_repro::pipeline::DelayRows for EagerRows {
+    fn fill_row(&mut self, cycle: u64, row: &mut [Picos]) {
+        use timber_repro::variability::DelaySource;
+        self.factors.fill(1.0);
+        self.variability.scale_row(cycle, &mut self.factors);
+        for (s, (slot, &factor)) in row.iter_mut().zip(&self.factors).enumerate() {
+            *slot = self.sensitization.sample(s).0.scale(factor);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Skipping the jitter draws of certified on-time stages changes
+    /// nothing a run reports or leaves behind: for every registry
+    /// scheme, every stress and either clock authority, the lazy
+    /// environment path and the eager reference agree on the whole
+    /// `RunStats` and the final carry, chain and penalty state. Periods
+    /// from 60% to 110% of the critical delay and a heavy near-critical
+    /// population make the settle branch run often.
+    #[test]
+    fn skipped_jitter_draws_change_nothing(
+        // scheme (8) × stress (4) × governor on/off (2)
+        case in 0usize..64,
+        stages in 1usize..=9,
+        period_pct in 60i64..=110,
+        p_near in 0.0f64..0.5,
+        seed in any::<u64>(),
+    ) {
+        use timber_repro::pipeline::{GovernorConfig, PipelineConfig, PipelineSim};
+        use timber_repro::schemes::{Registry, SchemeId};
+        use timber_repro::variability::{SensitizationModel, StagePathProfile, VariabilityBuilder};
+        use timber_resilience::StormScenario;
+
+        let (scheme, stress, governor) = (case % 8, case / 8 % 4, case >= 32);
+        let critical = Picos(1000);
+        let period = Picos(critical.as_ps() * period_pct / 100);
+        let schedule = CheckingPeriod::new(period, 24.0, 1, 2).unwrap();
+        // Coverage stays at the registry's 0.8, so logical masking
+        // draws from its RNG on every covered overrun.
+        let registry = Registry::new(schedule, stages);
+        let profile = StagePathProfile {
+            p_critical: 0.01,
+            p_near,
+            ..StagePathProfile::from_critical(critical)
+        };
+        let sensitization = || SensitizationModel::new(vec![profile; stages], seed ^ 0x5EED);
+        let variability = || match stress {
+            0 => VariabilityBuilder::new(seed)
+                .voltage_droop(0.05, 500, 2000.0)
+                .local_jitter(0.005)
+                .build(),
+            i => StormScenario::ALL[i - 1].build(stages, seed),
+        };
+        let mut config = PipelineConfig::new(stages, period);
+        config.governor = governor.then(GovernorConfig::default);
+        let id = SchemeId::ALL[scheme];
+
+        let mut lazy_scheme = registry.build(id, seed);
+        let (mut sens, mut var) = (sensitization(), variability());
+        let mut lazy = PipelineSim::new(config, lazy_scheme.as_mut(), &mut sens, &mut var);
+        let mut eager_scheme = registry.build(id, seed);
+        let mut rows = EagerRows {
+            sensitization: sensitization(),
+            variability: variability(),
+            factors: vec![1.0; stages],
+        };
+        let mut eager = PipelineSim::planned(config, eager_scheme.as_mut(), &mut rows);
+        // Two runs, so state carried across `run` calls is compared too.
+        for cycles in [700, 1300] {
+            prop_assert_eq!(lazy.run(cycles), eager.run(cycles), "{} stress {}", id.name(), stress);
+            prop_assert_eq!(lazy.carry(), eager.carry());
+            prop_assert_eq!(lazy.chain_depths(), eager.chain_depths());
+            prop_assert_eq!(lazy.penalty_remaining(), eager.penalty_remaining());
+        }
+    }
+}
